@@ -3,7 +3,6 @@ planar point clouds, with geometry-aided pivot selection, reference
 oracles and a statistical benchmark harness."""
 from ._version import __version__
 from .acagp import (
-    CentralSubsets,
     CircleHeuristics,
     GpOptions,
     aca_gp,
@@ -31,13 +30,11 @@ from .geometry import (
     DegenerateGeometryError,
     Point2,
     PointCloud,
-    barycenter,
     bounding_aspect_ratio,
     circumcircle,
     cloud_from_json,
     cloud_to_json,
     conjugate_circle,
-    diameter_estimate,
     generate_cloud,
     is_admissible,
     place_clouds,
@@ -48,7 +45,6 @@ from .geometry import (
 from .kernel import (
     DenseCapExceededError,
     KernelHandle,
-    KernelKind,
     SingularEvaluationError,
 )
 from .lowrank import (
@@ -67,7 +63,6 @@ from .lowrank import (
 )
 from .oracle import (
     DegenerateSvdError,
-    ErrorReport,
     GeneticSearchResult,
     InfiniteGainError,
     gain,
@@ -76,5 +71,3 @@ from .oracle import (
     svd_rank_errors,
     tilde_error,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -37,7 +37,6 @@ from .lowrank import (
 )
 
 __all__ = [
-    "CentralSubsets",
     "CircleHeuristics",
     "GpOptions",
     "aca_gp",
@@ -85,24 +84,6 @@ class GpOptions:
             raise ValueError("delta must be non-negative")
         if not (0.0 <= self.aspect_threshold <= 1.0):
             raise ValueError("aspect_threshold must lie in [0, 1]")
-
-
-@dataclass(frozen=True, eq=False)
-class CentralSubsets:
-    """Candidate index pools around the first pivot pair.
-
-    ic/jc hold indices into X and Y whose distance to the first pivot
-    point stays within the (possibly grown) fraction of the cloud
-    diameter; epsilon_r is the requested fraction, epsilon_r_x/y the
-    per-cloud fractions after growth.
-    """
-
-    ic: np.ndarray
-    jc: np.ndarray
-    epsilon_r: float
-    epsilon_r_x: float
-    epsilon_r_y: float
-    delta: int
 
 
 def default_epsilon_r(k_max: int, size: int) -> float:
@@ -211,84 +192,67 @@ def _walk_candidates(points, work, circle, probe) -> tuple[int, float]:
 
 
 def select_rank2(
-    x: PointCloud,
-    y: PointCloud,
+    builder: _SkeletonBuilder,
     i1: int,
     j1: int,
-    u_stack: np.ndarray,
-    v_stack: np.ndarray,
     ic_work: list[int],
     jc_work: list[int],
-    kernel: KernelHandle,
     rng: np.random.Generator,
 ) -> tuple[int, int, float, Circle]:
     """Second pivot via the circle through the first pivot pair.
 
     A trial row i2 is drawn uniformly from the central candidates; the
-    circle through x_i1, y_j1, x_i2 orders the column candidates, which
-    are probed until the rank-1 residual magnitude stops increasing.
+    circle through x_i1, y_j1, x_i2 orders the column candidates, whose
+    residual entries are probed through `builder` until the magnitude
+    stops increasing.
 
     Raises DegenerateGeometryError when the three points are collinear
     (the caller falls back to magnitude-only selection).
     """
     if not ic_work or not jc_work:
         raise PivotsExhaustedError("central subsets exhausted")
+    x, y = builder.x, builder.y
     cand = np.asarray(ic_work)
     i2 = int(cand[rng.integers(cand.size)])
     c2 = circumcircle(x.points[i1], y.points[j1], x.points[i2])
-
-    def probe(j: int) -> float:
-        return kernel.eval(x.points[i2], y.points[j]) - float(
-            u_stack[i2] @ v_stack[j]
-        )
-
-    j2, pivot = _walk_candidates(y.points, jc_work, c2, probe)
+    j2, pivot = _walk_candidates(
+        y.points, jc_work, c2, lambda j: builder.residual_probe(i2, j)
+    )
     return i2, j2, pivot, c2
 
 
 def select_rank3(
-    x: PointCloud,
-    y: PointCloud,
+    builder: _SkeletonBuilder,
     i1: int,
     j1: int,
     c2: Circle,
-    u_stack: np.ndarray,
-    v_stack: np.ndarray,
     ic_work: list[int],
     jc_work: list[int],
-    kernel: KernelHandle,
 ) -> tuple[int, int, float]:
     """Third pivot via the circles conjugate to the rank-2 circle.
 
     The row candidate nearest the conjugate circle anchored at x_i1 is
     chosen outright; the column candidates are walked by distance to the
-    conjugate circle anchored at y_j1 with the same stopping rule as the
-    rank-2 search.
+    conjugate circle anchored at y_j1, probing residual entries through
+    `builder` with the same stopping rule as the rank-2 search.
     """
     if not ic_work or not jc_work:
         raise PivotsExhaustedError("central subsets exhausted")
+    x, y = builder.x, builder.y
     conj_x = conjugate_circle(c2, x.points[i1], y.points[j1] - x.points[i1])
     conj_y = conjugate_circle(c2, y.points[j1], x.points[i1] - y.points[j1])
     rows = np.asarray(ic_work)
     i3 = int(rows[np.argmin(_circle_distances(x.points[rows], conj_x))])
-
-    def probe(j: int) -> float:
-        return kernel.eval(x.points[i3], y.points[j]) - float(
-            u_stack[i3] @ v_stack[j]
-        )
-
-    j3, pivot = _walk_candidates(y.points, jc_work, conj_y, probe)
+    j3, pivot = _walk_candidates(
+        y.points, jc_work, conj_y, lambda j: builder.residual_probe(i3, j)
+    )
     return i3, j3, pivot
 
 
 def select_higher(
-    x: PointCloud,
-    y: PointCloud,
-    u_stack: np.ndarray,
-    v_stack: np.ndarray,
+    builder: _SkeletonBuilder,
     ic_work: list[int],
     jc_work: list[int],
-    kernel: KernelHandle,
     rng: np.random.Generator,
 ) -> tuple[int, int, float]:
     """Pivot for ranks beyond the circle heuristics.
@@ -296,16 +260,17 @@ def select_higher(
     One trial row is drawn uniformly from the central row candidates; the
     column candidate maximizing the residual magnitude along that row is
     fixed, then the row candidate maximizing the residual magnitude along
-    that column wins.  Ties go to the smallest index.
+    that column wins.  Ties go to the smallest index.  Residuals come from
+    `builder`, restricted to the candidates.
     """
     if not ic_work or not jc_work:
         raise PivotsExhaustedError("central subsets exhausted")
     rows = np.asarray(ic_work)
     cols = np.asarray(jc_work)
     i_t = int(rows[rng.integers(rows.size)])
-    probes_j = kernel.eval_row_subset(x, y, i_t, cols) - v_stack[cols] @ u_stack[i_t]
+    probes_j = builder.residual_row_subset(i_t, cols)
     j_k = int(cols[np.argmax(np.abs(probes_j))])
-    probes_i = kernel.eval_col_subset(x, y, j_k, rows) - u_stack[rows] @ v_stack[j_k]
+    probes_i = builder.residual_col_subset(j_k, rows)
     pos = int(np.argmax(np.abs(probes_i)))
     return int(rows[pos]), j_k, float(probes_i[pos])
 
@@ -371,6 +336,11 @@ def aca_gp(
     column cloud is larger than the row cloud the problem is solved on the
     swapped pair and the skeleton transposed back.
 
+    A selected pivot at or below the pivot floor (StoppingParams.epsilon_p,
+    or PIVOT_FLOOR_REL times the first pivot) ends the run with the rank
+    reached so far; classical `aca` instead skips such a row and tries
+    another.
+
     Rank k costs at most k(n+m) + k(|ic|+|jc|) + n + m kernel evaluations.
     """
     if len(y) > len(x):
@@ -387,11 +357,11 @@ def aca_gp(
     )
     builder = _SkeletonBuilder(x, y, kernel, k_max)
     i1, j1 = first_pivot(x, y)
-    row = kernel.eval_row(x, y, i1)
+    row = builder.residual_row(i1)
     p1 = float(row[j1])
-    if abs(p1) <= (stop.epsilon_p or 0.0):
+    if abs(p1) <= builder.pivot_floor(stop.epsilon_p):
         return builder.build()
-    col = kernel.eval_col(x, y, j1)
+    col = builder.residual_col(j1)
     builder.add_cross(i1, j1, p1, row, col, "first")
     if k_max == 1 or builder.converged(stop.epsilon):
         return builder.build()
@@ -425,8 +395,7 @@ def aca_gp(
         if r_next == 2 and use_circles:
             try:
                 i_k, j_k, pivot, c2 = select_rank2(
-                    x, y, i1, j1, builder.u_stack, builder.v_stack,
-                    ic_work, jc_work, kernel, rng,
+                    builder, i1, j1, ic_work, jc_work, rng
                 )
                 selection = (i_k, j_k, pivot)
                 selector = "circle2"
@@ -445,17 +414,13 @@ def aca_gp(
                     c2 = None
             if c2 is not None:
                 i_k, j_k, pivot = select_rank3(
-                    x, y, i1, j1, c2, builder.u_stack, builder.v_stack,
-                    ic_work, jc_work, kernel,
+                    builder, i1, j1, c2, ic_work, jc_work
                 )
                 selection = (i_k, j_k, pivot)
                 selector = "circle3"
         if selection is None:
             try:
-                i_k, j_k, pivot = select_higher(
-                    x, y, builder.u_stack, builder.v_stack,
-                    ic_work, jc_work, kernel, rng,
-                )
+                i_k, j_k, pivot = select_higher(builder, ic_work, jc_work, rng)
             except PivotsExhaustedError:
                 break
             selection = (i_k, j_k, pivot)

@@ -32,7 +32,7 @@ from .geometry import (
     is_admissible,
     place_clouds,
 )
-from .kernel import DenseCapExceededError, KernelHandle
+from .kernel import DenseCapExceededError, KernelHandle, SingularEvaluationError
 from .lowrank import (
     StoppingParams,
     aca,
@@ -322,7 +322,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, DenseCapExceededError) as exc:
+    except (
+        ValueError,
+        OSError,
+        json.JSONDecodeError,
+        DenseCapExceededError,
+        SingularEvaluationError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,13 +21,11 @@ __all__ = [
     "DegenerateGeometryError",
     "Point2",
     "PointCloud",
-    "barycenter",
     "bounding_aspect_ratio",
     "circumcircle",
     "cloud_from_json",
     "cloud_to_json",
     "conjugate_circle",
-    "diameter_estimate",
     "generate_cloud",
     "is_admissible",
     "place_clouds",
@@ -105,9 +103,10 @@ def _as_xy(p) -> np.ndarray:
 class PointCloud:
     """An ordered, non-empty set of planar points.
 
-    The barycenter and the diameter estimate are computed once at
-    construction and cached; the coordinate array is frozen to keep the
-    caches consistent.
+    The barycenter (mean of the points) and the diameter estimate (twice
+    the largest distance to the barycenter, at most twice the true
+    diameter) are computed once at construction and cached; the
+    coordinate array is frozen to keep the caches consistent.
     """
 
     points: np.ndarray
@@ -141,20 +140,6 @@ class PointCloud:
         rot = np.array([[c, -s], [s, c]])
         pts = (self.points - self.barycenter) @ rot.T + self.barycenter
         return PointCloud(pts + np.asarray(shift, dtype=float))
-
-
-def barycenter(cloud: PointCloud) -> Point2:
-    """Arithmetic mean of the cloud's points."""
-    return Point2.from_array(cloud.barycenter)
-
-
-def diameter_estimate(cloud: PointCloud) -> float:
-    """Twice the largest distance from a point to the barycenter.
-
-    Overestimates the true diameter by at most a factor of two but is
-    linear in the cloud size.
-    """
-    return cloud.diameter
 
 
 def true_distance(x: PointCloud, y: PointCloud) -> float:

@@ -6,7 +6,6 @@ all complexity claims and budget checks.
 """
 from __future__ import annotations
 
-import enum
 import threading
 
 import numpy as np
@@ -18,16 +17,11 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "DenseCapExceededError",
     "KernelHandle",
-    "KernelKind",
     "SingularEvaluationError",
 ]
 
 SINGULAR_DISTANCE = 1e-14
 DEFAULT_DENSE_CAP = 4_000_000
-
-
-class KernelKind(enum.Enum):
-    INVERSE_DISTANCE = "inverse_distance"
 
 
 class SingularEvaluationError(ArithmeticError):
@@ -46,8 +40,7 @@ class KernelHandle:
     bump from concurrent threads.
     """
 
-    def __init__(self, kind: KernelKind = KernelKind.INVERSE_DISTANCE):
-        self.kind = kind
+    def __init__(self):
         self._count = 0
         self._lock = threading.Lock()
 

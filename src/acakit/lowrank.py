@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -325,8 +325,10 @@ def aca(
     Each step evaluates one residual row (chosen by pivot_row_rule), takes
     the largest unused entry as the pivot column, evaluates that residual
     column, and appends the scaled cross.  A row whose remaining entries
-    all sit at the pivot floor is skipped without spending a rank.  Rank k
-    costs exactly k(n+m) kernel evaluations.
+    all sit at the pivot floor is skipped without spending a rank (its m
+    evaluations are still counted); `aca_gp` instead ends its run at a
+    floor-level pivot.  Without skipped rows, rank k costs exactly k(n+m)
+    kernel evaluations.
 
     Returns the skeleton accumulated so far when rows or columns run out.
     """

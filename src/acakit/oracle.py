@@ -18,7 +18,6 @@ from .lowrank import Skeleton, dense
 
 __all__ = [
     "DegenerateSvdError",
-    "ErrorReport",
     "GeneticRankResult",
     "GeneticSearchResult",
     "InfiniteGainError",
@@ -39,23 +38,6 @@ class DegenerateSvdError(ValueError):
 
 class InfiniteGainError(ArithmeticError):
     """Reference method already sits at the SVD floor; gain is unbounded."""
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Relative Frobenius error of one method at one rank.
-
-    tilde_error is the excess over the SVD baseline, (e - e_svd)/e_svd;
-    None when the baseline is degenerate.  kernel_evals counts the scalar
-    kernel evaluations spent to reach the rank.
-    """
-
-    rank: int
-    rel_error: float
-    svd_error: float
-    tilde_error: float | None
-    method: str
-    kernel_evals: int = 0
 
 
 def svd_rank_errors(a: np.ndarray, k_max: int) -> np.ndarray:

@@ -22,7 +22,13 @@ from acakit.geometry import (
     point_circle_distance,
 )
 from acakit.kernel import KernelHandle
-from acakit.lowrank import PivotsExhaustedError, StoppingParams, aca, dense
+from acakit.lowrank import (
+    PivotsExhaustedError,
+    StoppingParams,
+    _SkeletonBuilder,
+    aca,
+    dense,
+)
 
 RUN_STOP = StoppingParams(epsilon=1e-30, k_max=10)
 
@@ -33,15 +39,13 @@ def pair(seed, n=100, m=100, dist=1.5, xi=1.0):
     return x, y, rng
 
 
-def rank1_factors(x, y, i1, j1):
-    """Scaled first cross, for driving the selection helpers directly."""
-    k = KernelHandle()
-    row = k.eval_row(x, y, i1)
-    col = k.eval_col(x, y, j1)
-    p = row[j1]
-    scale = math.sqrt(abs(p))
-    sign = 1.0 if p > 0.0 else -1.0
-    return (sign * col / scale)[:, None], (row / scale)[:, None]
+def rank1_builder(x, y, i1, j1):
+    """Builder holding the first cross, for driving the selectors directly."""
+    builder = _SkeletonBuilder(x, y, KernelHandle(), 1)
+    row = builder.residual_row(i1)
+    col = builder.residual_col(j1)
+    builder.add_cross(i1, j1, float(row[j1]), row, col, "first")
+    return builder
 
 
 class StubKernel:
@@ -170,15 +174,19 @@ def stub_rank2_setup():
         for d, a in [(0.0, 0.3), (0.05, 1.1), (0.1, 2.0)]
     ]
     y = PointCloud(np.vstack([[2.0, 0.0], spots]))
-    u, v = np.zeros((2, 1)), np.zeros((4, 1))
-    return x, y, u, v
+    return x, y
+
+
+def stub_builder(x, y, stub):
+    """Builder with no cross yet, so residual probes return the stub's values."""
+    return _SkeletonBuilder(x, y, stub, 1)
 
 
 def test_select_rank2_single_candidate_no_iteration():
-    x, y, u, v = stub_rank2_setup()
+    x, y = stub_rank2_setup()
     stub = StubKernel(by_y_point={(float(p[0]), float(p[1])): 9.9 for p in y.points})
     i2, j2, pivot, _ = select_rank2(
-        x, y, 0, 0, u, v, [1], [2], stub, np.random.default_rng(0)
+        stub_builder(x, y, stub), 0, 0, [1], [2], np.random.default_rng(0)
     )
     assert (i2, j2) == (1, 2)
     assert pivot == 9.9
@@ -188,7 +196,7 @@ def test_select_rank2_single_candidate_no_iteration():
 def test_select_rank2_stops_on_first_decrease():
     # Residual magnitudes 0.4, 0.7, 0.6 along the walk: the third check
     # fails to increase, so the second candidate wins.
-    x, y, u, v = stub_rank2_setup()
+    x, y = stub_rank2_setup()
     vals = {
         (float(y.points[1][0]), float(y.points[1][1])): 0.4,
         (float(y.points[2][0]), float(y.points[2][1])): 0.7,
@@ -196,7 +204,7 @@ def test_select_rank2_stops_on_first_decrease():
     }
     stub = StubKernel(by_y_point=vals)
     i2, j2, pivot, c2 = select_rank2(
-        x, y, 0, 0, u, v, [1], [1, 2, 3], stub, np.random.default_rng(0)
+        stub_builder(x, y, stub), 0, 0, [1], [1, 2, 3], np.random.default_rng(0)
     )
     assert j2 == 2
     assert pivot == 0.7
@@ -205,7 +213,7 @@ def test_select_rank2_stops_on_first_decrease():
 
 def test_select_rank2_exhausted_pool_returns_best_seen():
     # Magnitudes keep increasing to the end: the best (last) candidate wins.
-    x, y, u, v = stub_rank2_setup()
+    x, y = stub_rank2_setup()
     vals = {
         (float(y.points[1][0]), float(y.points[1][1])): 0.4,
         (float(y.points[2][0]), float(y.points[2][1])): 0.7,
@@ -213,19 +221,17 @@ def test_select_rank2_exhausted_pool_returns_best_seen():
     }
     stub = StubKernel(by_y_point=vals)
     _, j2, pivot, _ = select_rank2(
-        x, y, 0, 0, u, v, [1], [1, 2, 3], stub, np.random.default_rng(0)
+        stub_builder(x, y, stub), 0, 0, [1], [1, 2, 3], np.random.default_rng(0)
     )
     assert j2 == 3
     assert pivot == 0.9
 
 
 def test_select_rank2_empty_pool_raises():
-    x, y, u, v = stub_rank2_setup()
+    x, y = stub_rank2_setup()
+    builder = stub_builder(x, y, StubKernel(constant=1.0))
     with pytest.raises(PivotsExhaustedError):
-        select_rank2(
-            x, y, 0, 0, u, v, [], [1], StubKernel(constant=1.0),
-            np.random.default_rng(0),
-        )
+        select_rank2(builder, 0, 0, [], [1], np.random.default_rng(0))
 
 
 def test_select_rank2_grid_pivot_lands_near_circle():
@@ -236,7 +242,7 @@ def test_select_rank2_grid_pivot_lands_near_circle():
     x = PointCloud(g)
     y = PointCloud(g + np.array([2.5, 0.0]))
     i1, j1 = first_pivot(x, y)
-    u, v = rank1_factors(x, y, i1, j1)
+    builder = rank1_builder(x, y, i1, j1)
     ic, _ = central_subset(x, i1, 10, 0.25)
     jc, _ = central_subset(y, j1, 10, 0.25)
     jc_work = [int(j) for j in jc if j != j1]
@@ -248,8 +254,7 @@ def test_select_rank2_grid_pivot_lands_near_circle():
     ]
     for i2_choice in off_line[:10]:
         _, j2, _, c2 = select_rank2(
-            x, y, i1, j1, u, v, [i2_choice], list(jc_work),
-            KernelHandle(), np.random.default_rng(0),
+            builder, i1, j1, [i2_choice], list(jc_work), np.random.default_rng(0)
         )
         assert point_circle_distance(y.points[j2], c2) <= 2.0 * h
 
@@ -259,13 +264,11 @@ def test_select_rank2_grid_pivot_lands_near_circle():
 def test_select_rank3_single_row_candidate():
     x, y, _ = pair(4, n=30, m=30, dist=2.0)
     i1, j1 = first_pivot(x, y)
-    u, v = rank1_factors(x, y, i1, j1)
+    builder = rank1_builder(x, y, i1, j1)
     other = next(i for i in range(len(x)) if i != i1)
     c2 = circumcircle(x.points[i1], y.points[j1], x.points[other])
     jc_work = [j for j in range(len(y)) if j != j1]
-    i3, j3, _ = select_rank3(
-        x, y, i1, j1, c2, u, v, [5], jc_work, KernelHandle()
-    )
+    i3, j3, _ = select_rank3(builder, i1, j1, c2, [5], jc_work)
     assert i3 == 5
     assert j3 in jc_work
 
@@ -273,11 +276,11 @@ def test_select_rank3_single_row_candidate():
 def test_select_rank3_empty_pool_raises():
     x, y, _ = pair(5, n=10, m=10)
     i1, j1 = first_pivot(x, y)
-    u, v = rank1_factors(x, y, i1, j1)
+    builder = rank1_builder(x, y, i1, j1)
     other = next(i for i in range(len(x)) if i != i1)
     c2 = circumcircle(x.points[i1], y.points[j1], x.points[other])
     with pytest.raises(PivotsExhaustedError):
-        select_rank3(x, y, i1, j1, c2, u, v, [], [1], KernelHandle())
+        select_rank3(builder, i1, j1, c2, [], [1])
 
 
 def test_rank3_beats_classical_on_most_instances():
@@ -304,10 +307,8 @@ def test_rank3_beats_classical_on_most_instances():
 
 def test_select_higher_single_pair():
     x, y, _ = pair(6, n=20, m=20)
-    i, j, pivot = select_higher(
-        x, y, np.zeros((20, 1)), np.zeros((20, 1)), [3], [7],
-        KernelHandle(), np.random.default_rng(0),
-    )
+    builder = _SkeletonBuilder(x, y, KernelHandle(), 1)
+    i, j, pivot = select_higher(builder, [3], [7], np.random.default_rng(0))
     assert (i, j) == (3, 7)
     assert pivot == KernelHandle().eval(x.point(3), y.point(7))
 
@@ -316,8 +317,7 @@ def test_select_higher_all_equal_takes_smallest_indices():
     x, y, _ = pair(7, n=10, m=10)
     stub = StubKernel(constant=5.0)
     i, j, pivot = select_higher(
-        x, y, np.zeros((10, 1)), np.zeros((10, 1)), [2, 5, 7], [1, 4],
-        stub, np.random.default_rng(0),
+        stub_builder(x, y, stub), [2, 5, 7], [1, 4], np.random.default_rng(0)
     )
     assert (i, j) == (2, 1)
     assert pivot == 5.0
@@ -325,11 +325,9 @@ def test_select_higher_all_equal_takes_smallest_indices():
 
 def test_select_higher_empty_pool_raises():
     x, y, _ = pair(8, n=10, m=10)
+    builder = _SkeletonBuilder(x, y, KernelHandle(), 1)
     with pytest.raises(PivotsExhaustedError):
-        select_higher(
-            x, y, np.zeros((10, 1)), np.zeros((10, 1)), [], [1],
-            KernelHandle(), np.random.default_rng(0),
-        )
+        select_higher(builder, [], [1], np.random.default_rng(0))
 
 
 def test_higher_rank_pivot_maximizes_residual_column():
@@ -460,6 +458,83 @@ def test_acagp_epsilon_stop():
     )
     assert skel.rank < 40
     assert skel.residual_norm <= 1e-4 * skel.approx_norm
+
+
+# (seed, n, m, circle mode) -> pivot rows, pivot cols, selectors (F first,
+# 2 circle2, 3 circle3, c central), kernel evaluations.  These pin pivot
+# selection and residual arithmetic exactly: a refactor must reproduce them,
+# and only a deliberate change of the method may update them.
+PINNED_RUNS = {
+    (0, 120, 120, "auto"): (
+        [40, 102, 103, 81, 14, 64, 50, 70, 78, 19, 28, 86],
+        [65, 112, 56, 13, 1, 46, 103, 38, 69, 51, 75, 97],
+        "F23ccccccccc", 4919,
+    ),
+    (0, 120, 120, "on"): (
+        [40, 102, 103, 81, 14, 64, 50, 70, 78, 19, 28, 86],
+        [65, 112, 56, 13, 1, 46, 103, 38, 69, 51, 75, 97],
+        "F23ccccccccc", 4919,
+    ),
+    (0, 120, 120, "off"): (
+        [40, 81, 110, 6, 4, 14, 70, 34, 54, 13, 104, 17],
+        [65, 13, 69, 5, 46, 38, 99, 1, 103, 2, 85, 74],
+        "Fccccccccccc", 5388,
+    ),
+    (1, 120, 120, "auto"): (
+        [52, 57, 75, 88, 41, 80, 11, 33, 26, 76, 8, 85],
+        [100, 48, 39, 119, 30, 93, 12, 37, 108, 101, 105, 11],
+        "F23ccccccccc", 4922,
+    ),
+    (1, 120, 120, "on"): (
+        [52, 57, 75, 88, 41, 80, 11, 33, 26, 76, 8, 85],
+        [100, 48, 39, 119, 30, 93, 12, 37, 108, 101, 105, 11],
+        "F23ccccccccc", 4922,
+    ),
+    (1, 120, 120, "off"): (
+        [52, 80, 41, 76, 33, 8, 5, 88, 26, 49, 104, 71],
+        [100, 119, 75, 30, 34, 105, 66, 108, 54, 43, 37, 101],
+        "Fccccccccccc", 5388,
+    ),
+    (2, 120, 120, "auto"): (
+        [118, 99, 37, 115, 32, 72, 2, 105, 114, 95, 67, 79],
+        [113, 75, 41, 70, 82, 111, 43, 90, 58, 62, 59, 74],
+        "F23ccccccccc", 4922,
+    ),
+    (2, 120, 120, "on"): (
+        [118, 99, 37, 115, 32, 72, 2, 105, 114, 95, 67, 79],
+        [113, 75, 41, 70, 82, 111, 43, 90, 58, 62, 59, 74],
+        "F23ccccccccc", 4922,
+    ),
+    (2, 120, 120, "off"): (
+        [118, 72, 67, 79, 115, 69, 95, 32, 114, 85, 20, 82],
+        [113, 74, 111, 70, 112, 82, 93, 41, 90, 117, 62, 59],
+        "Fccccccccccc", 5388,
+    ),
+    # len(y) > len(x): solved on the swapped pair and transposed back.
+    (3, 80, 120, "auto"): (
+        [61, 9, 70, 31, 60, 10, 40, 75, 68, 38, 28, 22],
+        [28, 97, 67, 78, 83, 112, 34, 15, 52, 106, 23, 10],
+        "F23ccccccccc", 4079,
+    ),
+}
+SELECTOR_CODES = {"F": "first", "2": "circle2", "3": "circle3", "c": "central"}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS), ids=str)
+def test_acagp_pinned_pivots_and_eval_counts(case):
+    seed, n, m, mode = case
+    rows, cols, codes, evals = PINNED_RUNS[case]
+    x, y, _ = pair(seed, n=n, m=m)
+    kernel = KernelHandle()
+    skel = aca_gp(
+        x, y, kernel, StoppingParams(epsilon=1e-30, k_max=12),
+        GpOptions(use_circle_heuristics=CircleHeuristics(mode)),
+        rng=np.random.default_rng(seed),
+    )
+    assert list(skel.pivot_rows) == rows
+    assert list(skel.pivot_cols) == cols
+    assert [r.selector for r in skel.pivot_trace] == [SELECTOR_CODES[c] for c in codes]
+    assert kernel.eval_count == evals
 
 
 def test_acagp_dominates_classical_at_reference_scale():

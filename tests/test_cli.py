@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acakit
 from acakit import __version__
 from acakit.cli import main
-from acakit.geometry import cloud_to_json, generate_cloud, place_clouds
+from acakit.geometry import PointCloud, cloud_to_json, generate_cloud, place_clouds
 
 
 def write_cloud_pair(tmp_path, seed=0, n=25, m=25, dist=2.5):
@@ -94,6 +99,25 @@ def test_approximate_force_overrides_admissibility(tmp_path, capsys):
     rc = main(["approximate", "--clouds", str(fx), str(fy), "--force"])
     assert rc == 0
     assert "warning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["aca", "acagp"])
+def test_approximate_coincident_points_exit_code(tmp_path, method):
+    """A point of X on a point of Y makes a kernel value singular; the CLI
+    reports it as an input error, not a traceback."""
+    fx = tmp_path / "x.json"
+    fy = tmp_path / "y.json"
+    fx.write_text(cloud_to_json(PointCloud(np.array([[0.0, 0.0], [0.1, 0.0]]))))
+    fy.write_text(cloud_to_json(PointCloud(np.array([[0.0, 0.0], [0.2, 0.1]]))))
+    env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "acakit.cli", "approximate", "--force",
+         "--clouds", str(fx), str(fy), "--method", method],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_approximate_bad_gen_string(capsys):

@@ -10,13 +10,11 @@ from acakit.geometry import (
     DegenerateGeometryError,
     Point2,
     PointCloud,
-    barycenter,
     bounding_aspect_ratio,
     circumcircle,
     cloud_from_json,
     cloud_to_json,
     conjugate_circle,
-    diameter_estimate,
     generate_cloud,
     is_admissible,
     place_clouds,
@@ -89,30 +87,30 @@ def test_cloud_points_are_read_only():
 # --- barycenter and diameters -------------------------------------------
 
 def test_barycenter_two_points():
-    c = barycenter(PointCloud(np.array([[0.0, 0.0], [2.0, 0.0]])))
-    assert (c.x, c.y) == (1.0, 0.0)
+    c = PointCloud(np.array([[0.0, 0.0], [2.0, 0.0]])).barycenter
+    assert tuple(c) == (1.0, 0.0)
 
 
 def test_barycenter_single_point():
-    c = barycenter(PointCloud(np.array([[1.0, 1.0]])))
-    assert (c.x, c.y) == (1.0, 1.0)
+    c = PointCloud(np.array([[1.0, 1.0]])).barycenter
+    assert tuple(c) == (1.0, 1.0)
 
 
 def test_barycenter_uniform_square_near_center():
     rng = np.random.default_rng(42)
     cloud = PointCloud(rng.uniform(0.0, 1.0, size=(400, 2)))
-    c = barycenter(cloud)
-    assert abs(c.x - 0.5) < 0.05 and abs(c.y - 0.5) < 0.05
+    cx, cy = cloud.barycenter
+    assert abs(cx - 0.5) < 0.05 and abs(cy - 0.5) < 0.05
 
 
 def test_diameter_square_corners():
-    assert diameter_estimate(corner_square()) == pytest.approx(SQRT2, abs=1e-15)
+    assert corner_square().diameter == pytest.approx(SQRT2, abs=1e-15)
 
 
 def test_diameter_degenerate_cases():
-    assert diameter_estimate(PointCloud(np.array([[0.0, 0.0]]))) == 0.0
+    assert PointCloud(np.array([[0.0, 0.0]])).diameter == 0.0
     two = PointCloud(np.array([[0.0, 0.0], [4.0, 0.0]]))
-    assert diameter_estimate(two) == pytest.approx(4.0, abs=1e-15)
+    assert two.diameter == pytest.approx(4.0, abs=1e-15)
 
 
 # --- distances and admissibility ----------------------------------------

@@ -8,7 +8,6 @@ from acakit.kernel import DenseCapExceededError, KernelHandle
 from acakit.lowrank import StoppingParams, aca, dense
 from acakit.oracle import (
     DegenerateSvdError,
-    ErrorReport,
     InfiniteGainError,
     gain,
     genetic_search,
@@ -86,12 +85,6 @@ def test_gain_examples():
     assert gain(2e-3, 2e-3, 1e-3) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InfiniteGainError):
         gain(2e-3, 1e-3, 1e-3)
-
-
-def test_error_report_fields():
-    rep = ErrorReport(rank=3, rel_error=1e-2, svd_error=1e-3,
-                      tilde_error=9.0, method="aca")
-    assert rep.rank == 3 and rep.kernel_evals == 0
 
 
 # --- exhaustive pivot search -------------------------------------------------------
