@@ -289,9 +289,11 @@ def run_eps_sweep(
 ) -> list[SweepPoint]:
     """Re-run the benchmark over a grid of central radius fractions.
 
-    Every grid value reuses the same per-realization seeds, so cloud
-    draws and the classical runs are shared and only the geometry-aided
-    candidate pools vary.
+    Each grid value runs the whole benchmark again: placement, classical
+    ACA, dense assembly and the SVD floors are recomputed for every value.
+    Every run reuses the same per-realization seeds, so those results are
+    reproduced, not shared, and only the geometry-aided candidate pools
+    vary.
     """
     if not eps_values:
         raise ValueError("empty epsilon_r grid")

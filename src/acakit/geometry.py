@@ -3,7 +3,8 @@ admissibility, circle constructions and randomized cloud placement.
 
 All clouds live in R^2 and are stored as (n, 2) float arrays.  Diameters are
 cheap linear estimates (twice the largest distance to the barycenter), never
-convex-hull computations, so every quantity here is O(n) or O(n*m).
+convex-hull computations.  Cloud-to-cloud distances come from a k-d tree on
+one cloud queried with the other, so no n x m array is ever allocated.
 """
 from __future__ import annotations
 
@@ -12,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import cdist
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 __all__ = [
     "AdmissibilityParams",
@@ -143,15 +143,19 @@ class PointCloud:
 
 
 def true_distance(x: PointCloud, y: PointCloud) -> float:
-    """Smallest pairwise distance between the two clouds (O(n*m) scan)."""
-    return float(cdist(x.points, y.points).min())
+    """Smallest pairwise distance between the two clouds.
+
+    Builds a k-d tree on Y (O(m log m)) and queries every point of X for its
+    nearest neighbour (O(n log m) expected); memory is O(n + m).
+    """
+    return float(cKDTree(y.points).query(x.points)[0].min())
 
 
 def relaxed_distance(x: PointCloud, y: PointCloud) -> float:
     """Barycenter separation reduced by the smaller diameter estimate.
 
     A cheap stand-in for the true cloud distance: never exceeds the
-    barycenter distance and avoids the O(n*m) scan.
+    barycenter distance and needs no nearest-neighbour search.
     """
     return float(np.linalg.norm(x.barycenter - y.barycenter)) - min(
         x.diameter, y.diameter
@@ -262,7 +266,8 @@ def bounding_aspect_ratio(cloud: PointCloud) -> float:
     best_aspect = 0.0
     for ang in angles:
         c, s = math.cos(-ang), math.sin(-ang)
-        rot = pts @ np.array([[c, -s], [s, c]]).T
+        # The extremes of a linear map over the cloud lie on hull vertices.
+        rot = hull @ np.array([[c, -s], [s, c]]).T
         w = rot[:, 0].max() - rot[:, 0].min()
         h = rot[:, 1].max() - rot[:, 1].min()
         area = w * h
@@ -301,7 +306,9 @@ def place_clouds(
     X (n points) is rotated by a uniform angle theta about its own
     barycenter and pushed along a random unit direction until the true
     cloud distance hits `target_dist`; the push length is found by
-    bisection (tolerance 1e-3, at most 60 halvings).
+    bisection (tolerance 1e-3, at most 60 halvings).  One k-d tree on Y is
+    built up front (O(m log m)) and each step queries the moved X against it
+    (O(n log m) expected), so placement memory is O(n + m).
 
     Args:
         xi: rectangle aspect ratio a/b in (0, 1]; the rectangles are a x b
@@ -325,33 +332,33 @@ def place_clouds(
     phi = float(rng.uniform(-math.pi, math.pi))
     direction = np.array([math.cos(phi), math.sin(phi)])
 
-    def dist_at(t: float) -> tuple[float, PointCloud]:
-        moved = PointCloud(x0.points + t * direction)
-        return true_distance(moved, y), moved
+    tree = cKDTree(y.points)
+
+    def dist_at(t: float) -> float:
+        return float(tree.query(x0.points + t * direction)[0].min())
 
     lo = target_dist
     hi = target_dist + x0.diameter + y.diameter + 1.0
-    d_lo, cloud_lo = dist_at(lo)
+    d_lo = dist_at(lo)
     if d_lo > target_dist:
         # Tiny clouds can already sit beyond the target at the nominal
         # lower bracket; retry from zero displacement.
         lo = 0.0
-        d_lo, cloud_lo = dist_at(lo)
+        d_lo = dist_at(lo)
         if d_lo > target_dist:
             raise ValueError("target distance unreachable for these clouds")
     if abs(d_lo - target_dist) <= 1e-3:
-        return cloud_lo, y, theta
-    best = cloud_lo
+        return PointCloud(x0.points + lo * direction), y, theta
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        d_mid, best = dist_at(mid)
+        d_mid = dist_at(mid)
         if abs(d_mid - target_dist) <= 1e-3:
             break
         if d_mid < target_dist:
             lo = mid
         else:
             hi = mid
-    return best, y, theta
+    return PointCloud(x0.points + mid * direction), y, theta
 
 
 # --- JSON --------------------------------------------------------------

@@ -22,6 +22,16 @@ def write_cloud_pair(tmp_path, seed=0, n=25, m=25, dist=2.5):
     return fx, fy
 
 
+def run_cli_process(*args):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows as
+    a traceback on stderr and a non-contract exit code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "acakit.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -109,11 +119,18 @@ def test_approximate_coincident_points_exit_code(tmp_path, method):
     fy = tmp_path / "y.json"
     fx.write_text(cloud_to_json(PointCloud(np.array([[0.0, 0.0], [0.1, 0.0]]))))
     fy.write_text(cloud_to_json(PointCloud(np.array([[0.0, 0.0], [0.2, 0.1]]))))
-    env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "acakit.cli", "approximate", "--force",
-         "--clouds", str(fx), str(fy), "--method", method],
-        capture_output=True, text=True, env=env, timeout=60,
+    proc = run_cli_process(
+        "approximate", "--force", "--clouds", str(fx), str(fy), "--method", method
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_approximate_unreachable_target_exit_code():
+    """Placement that cannot reach the target distance is an input error."""
+    proc = run_cli_process(
+        "approximate", "--gen", "xi=1,n=1,m=1,dist=0.000001", "--seed", "3", "--force"
     )
     assert proc.returncode == 2
     assert "error:" in proc.stderr

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from acakit.geometry import (
     AdmissibilityParams,
@@ -316,6 +317,95 @@ def test_place_clouds_relaxed_below_true():
     # realized by boundary points, so relaxed < true for extended clouds.
     x, y, _ = place_clouds(1.0, 100, 100, 5.0, np.random.default_rng(4))
     assert relaxed_distance(x, y) < true_distance(x, y)
+
+
+def brute_force_place_clouds(xi, n, m, target_dist, rng):
+    """Reference placement: the same draws and bisection, with every step a
+    dense cdist scan over all n x m pairs.
+
+    Returns (X points, Y points, theta, retried), where `retried` says the
+    bracket was restarted from zero displacement.
+    """
+    y = generate_cloud(xi, 1.0, m, rng)
+    x0 = generate_cloud(xi, 1.0, n, rng)
+    theta = float(rng.uniform(-math.pi, math.pi))
+    x0 = x0.transformed(theta=theta)
+    phi = float(rng.uniform(-math.pi, math.pi))
+    direction = np.array([math.cos(phi), math.sin(phi)])
+
+    def dist_at(t):
+        moved = x0.points + t * direction
+        return float(cdist(moved, y.points).min()), moved
+
+    lo = target_dist
+    hi = target_dist + x0.diameter + y.diameter + 1.0
+    d_lo, best = dist_at(lo)
+    retried = d_lo > target_dist
+    if retried:
+        lo = 0.0
+        d_lo, best = dist_at(lo)
+        if d_lo > target_dist:
+            raise ValueError("target distance unreachable for these clouds")
+    if abs(d_lo - target_dist) <= 1e-3:
+        return best, y.points, theta, retried
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        d_mid, best = dist_at(mid)
+        if abs(d_mid - target_dist) <= 1e-3:
+            break
+        if d_mid < target_dist:
+            lo = mid
+        else:
+            hi = mid
+    return best, y.points, theta, retried
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 5), (80, 60), (200, 200), (300, 50)])
+def test_place_clouds_matches_brute_force(n, m):
+    for seed in range(30):
+        for xi in (0.1, 1.0):
+            for dist in (1.5, 5.0):
+                x, y, theta = place_clouds(xi, n, m, dist, np.random.default_rng(seed))
+                rx, ry, rtheta, _ = brute_force_place_clouds(
+                    xi, n, m, dist, np.random.default_rng(seed)
+                )
+                assert np.array_equal(x.points, rx), (seed, xi, dist)
+                assert np.array_equal(y.points, ry), (seed, xi, dist)
+                assert theta == rtheta
+
+
+def test_true_distance_matches_cdist_min():
+    rng = np.random.default_rng(11)
+    for n, m in [(1, 1), (1, 40), (40, 1), (50, 70), (300, 200)]:
+        x = PointCloud(rng.uniform(-1.0, 1.0, size=(n, 2)))
+        y = PointCloud(rng.uniform(0.5, 3.0, size=(m, 2)))
+        assert true_distance(x, y) == cdist(x.points, y.points).min()
+    shared = rng.uniform(-1.0, 1.0, size=(30, 2))
+    x = PointCloud(shared[:20])
+    y = PointCloud(shared[15:])
+    assert true_distance(x, y) == 0.0 == cdist(x.points, y.points).min()
+
+
+def test_place_clouds_retries_from_zero_displacement():
+    # Seed 4: the single point of X already sits beyond 0.5 from Y when
+    # pushed by the nominal bracket 0.5, but not at zero displacement.
+    x, y, theta = place_clouds(1.0, 1, 1, 0.5, np.random.default_rng(4))
+    rx, ry, rtheta, retried = brute_force_place_clouds(
+        1.0, 1, 1, 0.5, np.random.default_rng(4)
+    )
+    assert retried
+    assert np.array_equal(x.points, rx) and np.array_equal(y.points, ry)
+    assert theta == rtheta
+    assert abs(true_distance(x, y) - 0.5) <= 1e-3
+
+
+def test_place_clouds_unreachable_target():
+    # Seed 0: the two single points are 0.65 apart before any push and
+    # further apart after the nominal one, so 0.5 cannot be reached.
+    with pytest.raises(ValueError, match="target distance unreachable"):
+        place_clouds(1.0, 1, 1, 0.5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="target distance unreachable"):
+        brute_force_place_clouds(1.0, 1, 1, 0.5, np.random.default_rng(0))
 
 
 def test_place_clouds_validation():

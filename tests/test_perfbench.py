@@ -29,3 +29,19 @@ def test_traced_toy_run_reports_layers(tmp_path):
         "kernel.eval_row_subset.evals",
     ):
         assert min(layers[name]) > 0, name
+
+
+def test_traced_toy_approximate_reports_placement(tmp_path):
+    # The benchmark times placement through the acakit.cli.place_clouds
+    # binding; this keeps that binding and the approximate path working.
+    proc = subprocess.run(
+        [sys.executable, str(WORKER), "--workload", "approx-n10000",
+         "--mode", "traced", "--seconds", "0", "--toy",
+         "--workdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, result["failures"]
+    assert result["output_match"] == 1
+    assert min(result["layers"]["geometry.place_clouds.calls"]) >= 1
