@@ -8,6 +8,7 @@ from .acagp import (
     aca_gp,
     central_subset,
     default_epsilon_r,
+    epsilon_r_rule,
     first_pivot,
     select_higher,
     select_rank2,
@@ -18,7 +19,6 @@ from .experiments import (
     RankStats,
     RealizationResult,
     aggregate,
-    epsilon_r_rule,
     run_benchmark,
     run_eps_sweep,
     run_realization,
@@ -28,7 +28,6 @@ from .geometry import (
     AdmissibilityParams,
     Circle,
     DegenerateGeometryError,
-    Point2,
     PointCloud,
     bounding_aspect_ratio,
     circumcircle,
@@ -38,7 +37,6 @@ from .geometry import (
     generate_cloud,
     is_admissible,
     place_clouds,
-    point_circle_distance,
     relaxed_distance,
     true_distance,
 )
@@ -57,17 +55,14 @@ from .lowrank import (
     default_max_rank,
     dense,
     pivot_row_rule,
-    residual_entry,
     skeleton_to_json,
     update_norms,
 )
 from .oracle import (
-    DegenerateSvdError,
     GeneticSearchResult,
     InfiniteGainError,
     gain,
     genetic_search,
     relative_error,
     svd_rank_errors,
-    tilde_error,
 )

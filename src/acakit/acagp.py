@@ -42,6 +42,7 @@ __all__ = [
     "aca_gp",
     "central_subset",
     "default_epsilon_r",
+    "epsilon_r_rule",
     "first_pivot",
     "select_higher",
     "select_rank2",
@@ -86,10 +87,18 @@ class GpOptions:
             raise ValueError("aspect_threshold must lie in [0, 1]")
 
 
+def epsilon_r_rule(k_max: int, cloud_size: int) -> float:
+    """Rule-of-thumb central radius fraction 2*sqrt(k_max/cloud_size),
+    unclamped (default_epsilon_r clamps it)."""
+    if k_max < 1 or cloud_size < 1:
+        raise ValueError("k_max and cloud_size must be positive")
+    return 2.0 * math.sqrt(k_max / cloud_size)
+
+
 def default_epsilon_r(k_max: int, size: int) -> float:
-    """Central radius fraction covering ~k_max + margin points: the rule
-    2*sqrt(k_max/size), kept within [0.25, 1]."""
-    return min(1.0, max(0.25, 2.0 * math.sqrt(k_max / size)))
+    """Central radius fraction covering ~k_max + margin points:
+    epsilon_r_rule kept within [0.25, 1]."""
+    return min(1.0, max(0.25, epsilon_r_rule(k_max, size)))
 
 
 def first_pivot(x: PointCloud, y: PointCloud) -> tuple[int, int]:
@@ -334,7 +343,9 @@ def aca_gp(
     circle searches when enabled, and all remaining ranks use trial-row
     magnitude selection restricted to the central subsets.  When the
     column cloud is larger than the row cloud the problem is solved on the
-    swapped pair and the skeleton transposed back.
+    swapped pair and the skeleton transposed back, so for n != m
+    aca_gp(y, x) is the exact transpose of aca_gp(x, y).  For n = m the row
+    cloud is always X, and the swapped call may pick other pivots.
 
     A selected pivot at or below the pivot floor (StoppingParams.epsilon_p,
     or PIVOT_FLOOR_REL times the first pivot) ends the run with the rank

@@ -184,7 +184,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_benchmark(args) -> int:
     config = _benchmark_config(args)
-    stats = run_benchmark(config, threads=args.threads)
+    stats = run_benchmark(config)
     _emit(render_benchmark_csv(stats, config), args.out)
     return 0
 
@@ -192,7 +192,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_sweep_central(args) -> int:
     values = _parse_central_range(args.central)
     config = _benchmark_config(args, epsilon_r=values[0])
-    points = run_eps_sweep(config, values, threads=args.threads)
+    points = run_eps_sweep(config, values)
     _emit(render_sweep_csv(points, config), args.out)
     return 0
 
@@ -256,7 +256,8 @@ def _add_benchmark_flags(
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument(
-        "--threads", type=int, default=None, help="worker threads (default: all cores)"
+        "--threads", type=int, default=None,
+        help="accepted for compatibility and ignored: realizations run in one thread",
     )
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 

@@ -10,14 +10,12 @@ gains are aggregated geometrically.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._version import __version__
-from .acagp import GpOptions, aca_gp
+from .acagp import GpOptions, aca_gp, epsilon_r_rule
 from .geometry import place_clouds
 from .kernel import KernelHandle
 from .lowrank import Skeleton, StoppingParams, aca
@@ -72,16 +70,16 @@ class ExperimentConfig:
             raise ValueError("xi must lie in (0, 1]")
         if self.n < 1 or self.m < 1:
             raise ValueError("cloud sizes must be at least 1")
-        if self.target_dist <= 0.0:
-            raise ValueError("target_dist must be positive")
+        if not (math.isfinite(self.target_dist) and self.target_dist > 0.0):
+            raise ValueError("target_dist must be finite and positive")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         if not 0.0 < self.epsilon_r <= 1.0:
             raise ValueError("epsilon_r must lie in (0, 1]")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError("eta must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,14 +125,6 @@ class SweepPoint:
     gain_log_mean: float | None
     gain_log_std: float | None
     inf_gain_count: int
-
-
-def epsilon_r_rule(k_max: int, cloud_size: int) -> float:
-    """Rule-of-thumb central radius fraction 2*sqrt(k_max/cloud_size)
-    (callers clamp to 1)."""
-    if k_max < 1 or cloud_size < 1:
-        raise ValueError("k_max and cloud_size must be positive")
-    return 2.0 * math.sqrt(k_max / cloud_size)
 
 
 def _per_rank_errors(a: np.ndarray, skeleton: Skeleton, k_max: int) -> np.ndarray:
@@ -212,20 +202,15 @@ def run_realization(config: ExperimentConfig, index: int) -> RealizationResult:
     )
 
 
-def run_realizations(
-    config: ExperimentConfig, threads: int | None = None
-) -> list[RealizationResult]:
-    """All realizations of a config, in index order.
+def run_realizations(config: ExperimentConfig) -> list[RealizationResult]:
+    """All realizations of a config, computed one after another in index
+    order in the calling thread.
 
-    threads=None uses all cores.  Results are deterministic functions of
-    (config, index), so the thread count never changes the output list.
+    The SVD floors and the error oracle already run on BLAS threads; a
+    thread pool over realizations oversubscribes them and measured slower
+    than this loop.
     """
-    indices = range(config.realizations)
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers <= 1:
-        return [run_realization(config, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: run_realization(config, i), indices))
+    return [run_realization(config, i) for i in range(config.realizations)]
 
 
 def aggregate(results: list[RealizationResult]) -> list[RankStats]:
@@ -275,17 +260,13 @@ def aggregate(results: list[RealizationResult]) -> list[RankStats]:
     return stats
 
 
-def run_benchmark(
-    config: ExperimentConfig, threads: int | None = None
-) -> list[RankStats]:
+def run_benchmark(config: ExperimentConfig) -> list[RankStats]:
     """Aggregate statistics over config.realizations cloud draws."""
-    return aggregate(run_realizations(config, threads))
+    return aggregate(run_realizations(config))
 
 
 def run_eps_sweep(
-    config: ExperimentConfig,
-    eps_values: list[float],
-    threads: int | None = None,
+    config: ExperimentConfig, eps_values: list[float]
 ) -> list[SweepPoint]:
     """Re-run the benchmark over a grid of central radius fractions.
 
@@ -299,7 +280,7 @@ def run_eps_sweep(
         raise ValueError("empty epsilon_r grid")
     points: list[SweepPoint] = []
     for eps in eps_values:
-        stats = run_benchmark(replace(config, epsilon_r=eps), threads)
+        stats = run_benchmark(replace(config, epsilon_r=eps))
         points.extend(
             SweepPoint(
                 epsilon_r=eps,

@@ -19,7 +19,6 @@ __all__ = [
     "AdmissibilityParams",
     "Circle",
     "DegenerateGeometryError",
-    "Point2",
     "PointCloud",
     "bounding_aspect_ratio",
     "circumcircle",
@@ -29,7 +28,6 @@ __all__ = [
     "generate_cloud",
     "is_admissible",
     "place_clouds",
-    "point_circle_distance",
     "relaxed_distance",
     "true_distance",
 ]
@@ -39,36 +37,24 @@ class DegenerateGeometryError(ValueError):
     """A circle construction has no well-defined solution."""
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A point in the plane with finite coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("point coordinates must be finite")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "Point2":
-        return cls(float(a[0]), float(a[1]))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circle:
-    """Circle with a strictly positive radius."""
+    """Circle with a finite center and a strictly positive radius.
 
-    center: Point2
+    The center is copied into a read-only (2,) float array.
+    """
+
+    center: np.ndarray
     radius: float
 
     def __post_init__(self) -> None:
+        center = _as_xy(self.center).copy()
+        if not np.all(np.isfinite(center)):
+            raise ValueError("circle center must be finite")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("circle radius must be finite and positive")
+        center.setflags(write=False)
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -90,9 +76,7 @@ def _cross2(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _as_xy(p) -> np.ndarray:
-    """Coerce a Point2 or array-like to a (2,) float array."""
-    if isinstance(p, Point2):
-        return p.array
+    """Coerce an array-like to a (2,) float array."""
     a = np.asarray(p, dtype=float)
     if a.shape != (2,):
         raise ValueError(f"expected a 2-D point, got shape {a.shape}")
@@ -200,7 +184,7 @@ def circumcircle(p1, p2, p3) -> Circle:
     uy = (sa * (c[0] - b[0]) + sb * (a[0] - c[0]) + sc * (b[0] - a[0])) / (2.0 * d2)
     center = np.array([ux, uy])
     radius = float(np.linalg.norm(a - center))
-    return Circle(Point2(float(ux), float(uy)), radius)
+    return Circle(center, radius)
 
 
 def conjugate_circle(c2: Circle, anchor, direction) -> Circle:
@@ -214,7 +198,7 @@ def conjugate_circle(c2: Circle, anchor, direction) -> Circle:
     """
     a = _as_xy(anchor)
     d = _as_xy(direction)
-    c = c2.center.array
+    c = c2.center
     r = c2.radius
     if abs(np.linalg.norm(a - c) - r) > 1e-6 * r:
         raise ValueError("anchor does not lie on the circle")
@@ -232,17 +216,13 @@ def conjugate_circle(c2: Circle, anchor, direction) -> Circle:
     elif proj < 0.0:
         tangent = -tangent
     center = a + r * tangent
-    return Circle(Point2(float(center[0]), float(center[1])), r)
-
-
-def point_circle_distance(p, c: Circle) -> float:
-    """Unsigned distance from a point to the circle line."""
-    return abs(float(np.linalg.norm(_as_xy(p) - c.center.array)) - c.radius)
+    return Circle(center, r)
 
 
 def _circle_distances(points: np.ndarray, c: Circle) -> np.ndarray:
-    """Vectorized point_circle_distance for an (n, 2) array."""
-    return np.abs(np.linalg.norm(points - c.center.array, axis=1) - c.radius)
+    """Unsigned distance from each point of an (n, 2) array to the circle
+    line."""
+    return np.abs(np.linalg.norm(points - c.center, axis=1) - c.radius)
 
 
 def bounding_aspect_ratio(cloud: PointCloud) -> float:
@@ -322,8 +302,8 @@ def place_clouds(
     """
     if not 0.0 < xi <= 1.0:
         raise ValueError("xi must lie in (0, 1]")
-    if target_dist <= 0.0:
-        raise ValueError("target_dist must be positive")
+    if not (math.isfinite(target_dist) and target_dist > 0.0):
+        raise ValueError("target_dist must be finite and positive")
     a, b = xi, 1.0
     y = generate_cloud(a, b, m, rng)
     x0 = generate_cloud(a, b, n, rng)

@@ -18,7 +18,6 @@ from .geometry import PointCloud
 from .kernel import KernelHandle
 
 __all__ = [
-    "NormUpdate",
     "PivotRecord",
     "PivotsExhaustedError",
     "Skeleton",
@@ -28,7 +27,6 @@ __all__ = [
     "default_max_rank",
     "dense",
     "pivot_row_rule",
-    "residual_entry",
     "skeleton_to_json",
     "update_norms",
 ]
@@ -359,19 +357,6 @@ def aca(
         if builder.converged(stop.epsilon):
             break
     return builder.build()
-
-
-def residual_entry(
-    skeleton: Skeleton,
-    i: int,
-    j: int,
-    kernel: KernelHandle,
-    x: PointCloud,
-    y: PointCloud,
-) -> float:
-    """a_ij - (U V^T)_ij, at the cost of a single kernel evaluation."""
-    value = kernel.eval(x.points[i], y.points[j])
-    return value - float(skeleton.u_matrix[i] @ skeleton.v_matrix[j])
 
 
 def compression_ratio(skeleton: Skeleton, n: int, m: int) -> float:

@@ -2,9 +2,8 @@
 
 Three oracles: truncated-SVD errors (the Frobenius-optimal baseline for
 any rank), exhaustive greedy pivot search on small dense matrices (the
-best any cross method could do one rank at a time), and the derived
-quantities used to compare methods (normalized excess error and the gain
-of one method over another).
+best any cross method could do one rank at a time), and the gain of one
+method over another relative to the SVD baseline.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from .kernel import DenseCapExceededError
 from .lowrank import Skeleton, dense
 
 __all__ = [
-    "DegenerateSvdError",
     "GeneticRankResult",
     "GeneticSearchResult",
     "InfiniteGainError",
@@ -25,15 +23,10 @@ __all__ = [
     "genetic_search",
     "relative_error",
     "svd_rank_errors",
-    "tilde_error",
 ]
 
 GENETIC_CAP_DEFAULT = 64
 SVD_FLOOR = 1e-14
-
-
-class DegenerateSvdError(ValueError):
-    """SVD error too small for a meaningful normalized comparison."""
 
 
 class InfiniteGainError(ArithmeticError):
@@ -59,13 +52,6 @@ def svd_rank_errors(a: np.ndarray, k_max: int) -> np.ndarray:
 def relative_error(a: np.ndarray, skeleton: Skeleton) -> float:
     """|A - U V^T|_F / |A|_F against the dense matrix."""
     return float(np.linalg.norm(a - dense(skeleton)) / np.linalg.norm(a))
-
-
-def tilde_error(rel_error: float, svd_error: float) -> float:
-    """Normalized excess over the SVD baseline: (e - e_svd)/e_svd."""
-    if svd_error <= SVD_FLOOR:
-        raise DegenerateSvdError("SVD error at or below floor")
-    return (rel_error - svd_error) / svd_error
 
 
 def gain(e_aca: float, e_acagp: float, e_svd: float) -> float:

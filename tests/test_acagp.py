@@ -16,10 +16,10 @@ from acakit.acagp import (
 )
 from acakit.geometry import (
     PointCloud,
+    _circle_distances,
     _cross2,
     circumcircle,
     place_clouds,
-    point_circle_distance,
 )
 from acakit.kernel import KernelHandle
 from acakit.lowrank import (
@@ -168,7 +168,7 @@ def stub_rank2_setup():
     increasing distance from the rank-2 circle."""
     x = PointCloud(np.array([[0.0, 0.0], [0.0, 1.0]]))
     c2 = circumcircle((0.0, 0.0), (2.0, 0.0), (0.0, 1.0))
-    center, r = c2.center.array, c2.radius
+    center, r = c2.center, c2.radius
     spots = [
         center + (r + d) * np.array([math.cos(a), math.sin(a)])
         for d, a in [(0.0, 0.3), (0.05, 1.1), (0.1, 2.0)]
@@ -256,7 +256,7 @@ def test_select_rank2_grid_pivot_lands_near_circle():
         _, j2, _, c2 = select_rank2(
             builder, i1, j1, [i2_choice], list(jc_work), np.random.default_rng(0)
         )
-        assert point_circle_distance(y.points[j2], c2) <= 2.0 * h
+        assert _circle_distances(y.points[[j2]], c2)[0] <= 2.0 * h
 
 
 # --- rank-3 conjugate search ------------------------------------------------------
@@ -437,11 +437,16 @@ def test_acagp_eval_budget():
     assert kernel.eval_count <= budget + n + m
 
 
-def test_acagp_swap_is_exact_transpose():
+@pytest.mark.parametrize("circles", list(CircleHeuristics))
+@pytest.mark.parametrize("n, m", [(50, 80), (80, 50), (1, 7), (30, 31)])
+def test_acagp_swap_is_exact_transpose(n, m, circles):
+    """For n != m both orientations solve the same problem (the driver
+    swaps to put the larger cloud on the rows); for n = m the row cloud is
+    always X and the swapped call may pick other pivots."""
     rng_pair = np.random.default_rng(17)
-    x, y, _ = place_clouds(1.0, 50, 80, 2.0, rng_pair)  # len(y) > len(x)
+    x, y, _ = place_clouds(1.0, n, m, 2.0, rng_pair)
     stop = StoppingParams(epsilon=1e-30, k_max=6)
-    opts = GpOptions(epsilon_r=0.4)
+    opts = GpOptions(epsilon_r=0.4, use_circle_heuristics=circles)
     s_xy = aca_gp(x, y, KernelHandle(), stop, opts, rng=np.random.default_rng(17))
     s_yx = aca_gp(y, x, KernelHandle(), stop, opts, rng=np.random.default_rng(17))
     assert np.array_equal(dense(s_xy), dense(s_yx).T)

@@ -137,6 +137,23 @@ def test_approximate_unreachable_target_exit_code():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["benchmark", "--realizations", "2", "--eta", "nan"], "eta"),
+        (["benchmark", "--realizations", "2", "--dist", "nan"], "target_dist"),
+        (["sweep-central", "--realizations", "2", "--dist", "inf"], "target_dist"),
+        (["approximate", "--gen", "xi=1,n=50,m=50,dist=inf", "--force"], "target_dist"),
+    ],
+)
+def test_non_finite_input_exit_code(argv, field):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1 and field in error[0]
+    assert "Traceback" not in proc.stderr
+
+
 def test_approximate_bad_gen_string(capsys):
     assert main(["approximate", "--gen", "xi=1,n=10"]) == 2
     assert "error:" in capsys.readouterr().err

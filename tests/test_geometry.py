@@ -9,8 +9,8 @@ from acakit.geometry import (
     AdmissibilityParams,
     Circle,
     DegenerateGeometryError,
-    Point2,
     PointCloud,
+    _circle_distances,
     bounding_aspect_ratio,
     circumcircle,
     cloud_from_json,
@@ -19,7 +19,6 @@ from acakit.geometry import (
     generate_cloud,
     is_admissible,
     place_clouds,
-    point_circle_distance,
     relaxed_distance,
     true_distance,
 )
@@ -43,24 +42,29 @@ def corner_square(cx=0.0, cy=0.0):
 
 # --- primitives ---------------------------------------------------------
 
-def test_point2_rejects_non_finite():
+def test_circle_rejects_bad_center():
     with pytest.raises(ValueError):
-        Point2(math.nan, 0.0)
+        Circle((math.nan, 0.0), 1.0)
     with pytest.raises(ValueError):
-        Point2(0.0, math.inf)
+        Circle((0.0, math.inf), 1.0)
+    with pytest.raises(ValueError):
+        Circle((0.0, 0.0, 0.0), 1.0)
 
 
-def test_point2_array_round_trip():
-    p = Point2(1.5, -2.0)
-    assert np.array_equal(p.array, [1.5, -2.0])
-    assert Point2.from_array(p.array) == p
+def test_circle_center_is_frozen_copy():
+    source = np.array([1.5, -2.0])
+    c = Circle(source, 1.0)
+    source[0] = 7.0
+    assert np.array_equal(c.center, [1.5, -2.0])
+    with pytest.raises(ValueError):
+        c.center[0] = 0.0
 
 
 def test_circle_requires_positive_radius():
     with pytest.raises(ValueError):
-        Circle(Point2(0.0, 0.0), 0.0)
+        Circle((0.0, 0.0), 0.0)
     with pytest.raises(ValueError):
-        Circle(Point2(0.0, 0.0), -1.0)
+        Circle((0.0, 0.0), -1.0)
 
 
 def test_admissibility_params_alpha():
@@ -167,13 +171,13 @@ def test_admissible_single_points_any_eta():
 
 def test_circumcircle_right_triangle():
     c = circumcircle((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    assert (c.center.x, c.center.y) == pytest.approx((0.5, 0.5), abs=1e-14)
+    assert tuple(c.center) == pytest.approx((0.5, 0.5), abs=1e-14)
     assert c.radius == pytest.approx(SQRT2 / 2.0, abs=1e-14)
 
 
 def test_circumcircle_isoceles():
     c = circumcircle((0.0, 0.0), (2.0, 0.0), (1.0, 1.0))
-    assert (c.center.x, c.center.y) == pytest.approx((1.0, 0.0), abs=1e-14)
+    assert tuple(c.center) == pytest.approx((1.0, 0.0), abs=1e-14)
     assert c.radius == pytest.approx(1.0, abs=1e-14)
 
 
@@ -192,25 +196,24 @@ def test_circumcircle_equidistant_from_inputs():
             c = circumcircle(pts[0], pts[1], pts[2])
         except DegenerateGeometryError:
             continue
-        for p in pts:
-            assert point_circle_distance(p, c) < 1e-10
+        assert np.all(_circle_distances(pts, c) < 1e-10)
 
 
 def test_conjugate_circle_example():
-    c2 = Circle(Point2(0.5, 0.5), SQRT2 / 2.0)
+    c2 = Circle((0.5, 0.5), SQRT2 / 2.0)
     conj = conjugate_circle(c2, (0.0, 0.0), (3.0, 0.0))
-    assert (conj.center.x, conj.center.y) == pytest.approx((0.5, -0.5), abs=1e-14)
+    assert tuple(conj.center) == pytest.approx((0.5, -0.5), abs=1e-14)
     assert conj.radius == pytest.approx(SQRT2 / 2.0, abs=1e-14)
     # Radii at the shared anchor are orthogonal.
-    r1 = np.array([0.0, 0.0]) - c2.center.array
-    r2 = np.array([0.0, 0.0]) - conj.center.array
+    r1 = np.array([0.0, 0.0]) - c2.center
+    r2 = np.array([0.0, 0.0]) - conj.center
     assert abs(r1 @ r2) < 1e-14
 
 
 def test_conjugate_circle_flips_with_direction():
-    c2 = Circle(Point2(0.5, 0.5), SQRT2 / 2.0)
+    c2 = Circle((0.5, 0.5), SQRT2 / 2.0)
     conj = conjugate_circle(c2, (0.0, 0.0), (-3.0, 0.0))
-    assert (conj.center.x, conj.center.y) == pytest.approx((-0.5, 0.5), abs=1e-14)
+    assert tuple(conj.center) == pytest.approx((-0.5, 0.5), abs=1e-14)
 
 
 def test_conjugate_circle_contains_anchor():
@@ -223,24 +226,25 @@ def test_conjugate_circle_contains_anchor():
         direction = rng.uniform(-1.0, 1.0, size=2)
         if np.linalg.norm(direction) == 0.0:
             continue
-        conj = conjugate_circle(Circle(Point2(*center), radius), anchor, direction)
-        assert point_circle_distance(anchor, conj) < 1e-10
+        conj = conjugate_circle(Circle(center, radius), anchor, direction)
+        assert _circle_distances(anchor[None, :], conj)[0] < 1e-10
         assert conj.radius == pytest.approx(radius, abs=1e-12)
 
 
 def test_conjugate_circle_rejects_bad_inputs():
-    c2 = Circle(Point2(0.0, 0.0), 1.0)
+    c2 = Circle((0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         conjugate_circle(c2, (5.0, 0.0), (1.0, 0.0))  # anchor off the circle
     with pytest.raises(ValueError):
         conjugate_circle(c2, (1.0, 0.0), (0.0, 0.0))  # zero direction
 
 
-def test_point_circle_distance_examples():
-    c = Circle(Point2(0.0, 0.0), 1.0)
-    assert point_circle_distance((1.0, 0.0), c) == 0.0
-    assert point_circle_distance((0.0, 0.0), c) == 1.0
-    assert point_circle_distance((3.0, 0.0), c) == pytest.approx(2.0, abs=1e-15)
+def test_circle_distances_examples():
+    c = Circle((0.0, 0.0), 1.0)
+    d = _circle_distances(np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 0.0]]), c)
+    assert d[0] == 0.0
+    assert d[1] == 1.0
+    assert d[2] == pytest.approx(2.0, abs=1e-15)
 
 
 # --- oriented bounding rectangle -----------------------------------------
@@ -416,6 +420,9 @@ def test_place_clouds_validation():
         place_clouds(1.5, 10, 10, 1.0, rng)
     with pytest.raises(ValueError):
         place_clouds(1.0, 10, 10, -1.0, rng)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="target_dist must be finite"):
+            place_clouds(1.0, 10, 10, bad, rng)
 
 
 def test_transformed_preserves_pairwise_distances():

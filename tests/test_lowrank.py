@@ -15,7 +15,6 @@ from acakit.lowrank import (
     default_max_rank,
     dense,
     pivot_row_rule,
-    residual_entry,
     skeleton_to_json,
     update_norms,
 )
@@ -253,37 +252,6 @@ def test_skeleton_factors_read_only():
     skel, _ = run_to_rank(x, y, 2, seed=14)
     with pytest.raises(ValueError):
         skel.u_matrix[0, 0] = 1.0
-
-
-# --- residual probes ----------------------------------------------------------
-
-def test_residual_entry_rank_zero_is_kernel_value():
-    x, y, _ = pair(15, n=6, m=6)
-    kernel = KernelHandle()
-    val = residual_entry(empty_skeleton(6, 6), 2, 3, kernel, x, y)
-    assert val == KernelHandle().eval(x.point(2), y.point(3))
-    assert kernel.eval_count == 1
-
-
-def test_residual_entry_matches_dense_residual():
-    x, y, _ = pair(16, n=20, m=18)
-    skel, _ = run_to_rank(x, y, 4, seed=16)
-    a = KernelHandle().assemble_dense(x, y)
-    r = a - dense(skel)
-    kernel = KernelHandle()
-    for i, j in [(0, 0), (7, 11), (19, 17), (3, 9)]:
-        assert residual_entry(skel, i, j, kernel, x, y) == pytest.approx(
-            r[i, j], abs=1e-10 * np.abs(a).max()
-        )
-
-
-def test_residual_entry_zero_on_pivots():
-    x, y, _ = pair(17, n=20, m=20)
-    skel, _ = run_to_rank(x, y, 3, seed=17)
-    kernel = KernelHandle()
-    scale = 1.0  # kernel values are O(1) at these separations
-    i0, j0 = skel.pivot_rows[0], skel.pivot_cols[1]
-    assert abs(residual_entry(skel, i0, j0, kernel, x, y)) <= 1e-10 * scale
 
 
 # --- bookkeeping ---------------------------------------------------------------

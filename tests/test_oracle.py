@@ -7,13 +7,11 @@ from acakit.geometry import place_clouds
 from acakit.kernel import DenseCapExceededError, KernelHandle
 from acakit.lowrank import StoppingParams, aca, dense
 from acakit.oracle import (
-    DegenerateSvdError,
     InfiniteGainError,
     gain,
     genetic_search,
     relative_error,
     svd_rank_errors,
-    tilde_error,
 )
 
 
@@ -71,13 +69,6 @@ def test_relative_error_dominated_by_svd():
     skel = aca(x, y, KernelHandle(), StoppingParams(epsilon=1e-30, k_max=5), rng)
     e_svd = svd_rank_errors(a, skel.rank)[-1]
     assert relative_error(a, skel) >= e_svd - 1e-12
-
-
-def test_tilde_error_examples():
-    assert tilde_error(1e-3, 1e-3) == 0.0
-    assert tilde_error(2e-3, 1e-3) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DegenerateSvdError):
-        tilde_error(1e-3, 0.0)
 
 
 def test_gain_examples():
