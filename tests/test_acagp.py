@@ -437,9 +437,7 @@ def test_acagp_eval_budget():
     assert kernel.eval_count <= budget + n + m
 
 
-@pytest.mark.parametrize("circles", list(CircleHeuristics))
-@pytest.mark.parametrize("n, m", [(50, 80), (80, 50), (1, 7), (30, 31)])
-def test_acagp_swap_is_exact_transpose(n, m, circles):
+def assert_swap_is_exact_transpose(n, m, circles):
     """For n != m both orientations solve the same problem (the driver
     swaps to put the larger cloud on the rows); for n = m the row cloud is
     always X and the swapped call may pick other pivots."""
@@ -453,6 +451,23 @@ def test_acagp_swap_is_exact_transpose(n, m, circles):
     assert s_xy.pivot_rows == s_yx.pivot_cols
     assert s_xy.pivot_cols == s_yx.pivot_rows
     assert s_xy.central_row_count == s_yx.central_col_count
+
+
+def test_acagp_swap_is_exact_transpose():
+    assert_swap_is_exact_transpose(50, 80, CircleHeuristics.AUTO)  # len(y) > len(x)
+
+
+@pytest.mark.parametrize(
+    "n, m, circles",
+    [
+        (n, m, circles)
+        for n, m in [(50, 80), (80, 50), (1, 7), (30, 31)]
+        for circles in CircleHeuristics
+        if (n, m, circles) != (50, 80, CircleHeuristics.AUTO)
+    ],
+)
+def test_acagp_swap_is_exact_transpose_more_shapes(n, m, circles):
+    assert_swap_is_exact_transpose(n, m, circles)
 
 
 def test_acagp_epsilon_stop():

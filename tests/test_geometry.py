@@ -42,7 +42,8 @@ def corner_square(cx=0.0, cy=0.0):
 
 # --- primitives ---------------------------------------------------------
 
-def test_circle_rejects_bad_center():
+def test_point2_rejects_non_finite():
+    """A circle centre must be a finite 2-D point."""
     with pytest.raises(ValueError):
         Circle((math.nan, 0.0), 1.0)
     with pytest.raises(ValueError):
@@ -51,7 +52,8 @@ def test_circle_rejects_bad_center():
         Circle((0.0, 0.0, 0.0), 1.0)
 
 
-def test_circle_center_is_frozen_copy():
+def test_point2_array_round_trip():
+    """A circle centre is a read-only copy of the 2-D point passed in."""
     source = np.array([1.5, -2.0])
     c = Circle(source, 1.0)
     source[0] = 7.0
@@ -239,7 +241,7 @@ def test_conjugate_circle_rejects_bad_inputs():
         conjugate_circle(c2, (1.0, 0.0), (0.0, 0.0))  # zero direction
 
 
-def test_circle_distances_examples():
+def test_point_circle_distance_examples():
     c = Circle((0.0, 0.0), 1.0)
     d = _circle_distances(np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 0.0]]), c)
     assert d[0] == 0.0

@@ -10,6 +10,7 @@ from acakit.lowrank import (
     PivotsExhaustedError,
     Skeleton,
     StoppingParams,
+    _SkeletonBuilder,
     aca,
     compression_ratio,
     default_max_rank,
@@ -252,6 +253,49 @@ def test_skeleton_factors_read_only():
     skel, _ = run_to_rank(x, y, 2, seed=14)
     with pytest.raises(ValueError):
         skel.u_matrix[0, 0] = 1.0
+
+
+# --- residual probes ----------------------------------------------------------
+
+def replayed_builder(skel, x, y, kernel):
+    """Builder holding the crosses of an `aca` skeleton, rebuilt in its order."""
+    builder = _SkeletonBuilder(x, y, kernel, skel.rank)
+    for i, j in zip(skel.pivot_rows, skel.pivot_cols):
+        row = builder.residual_row(i)
+        col = builder.residual_col(j)
+        builder.add_cross(i, j, float(row[j]), row, col, "partial")
+    assert np.array_equal(builder.u_stack, skel.u_matrix)
+    assert np.array_equal(builder.v_stack, skel.v_matrix)
+    return builder
+
+
+def test_residual_entry_rank_zero_is_kernel_value():
+    x, y, _ = pair(15, n=6, m=6)
+    kernel = KernelHandle()
+    val = _SkeletonBuilder(x, y, kernel, 1).residual_probe(2, 3)
+    assert val == KernelHandle().eval(x.point(2), y.point(3))
+    assert kernel.eval_count == 1
+
+
+def test_residual_entry_matches_dense_residual():
+    x, y, _ = pair(16, n=20, m=18)
+    skel, _ = run_to_rank(x, y, 4, seed=16)
+    a = KernelHandle().assemble_dense(x, y)
+    r = a - dense(skel)
+    builder = replayed_builder(skel, x, y, KernelHandle())
+    for i, j in [(0, 0), (7, 11), (19, 17), (3, 9)]:
+        assert builder.residual_probe(i, j) == pytest.approx(
+            r[i, j], abs=1e-10 * np.abs(a).max()
+        )
+
+
+def test_residual_entry_zero_on_pivots():
+    x, y, _ = pair(17, n=20, m=20)
+    skel, _ = run_to_rank(x, y, 3, seed=17)
+    builder = replayed_builder(skel, x, y, KernelHandle())
+    scale = 1.0  # kernel values are O(1) at these separations
+    i0, j0 = skel.pivot_rows[0], skel.pivot_cols[1]
+    assert abs(builder.residual_probe(i0, j0)) <= 1e-10 * scale
 
 
 # --- bookkeeping ---------------------------------------------------------------
