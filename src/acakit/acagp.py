@@ -49,6 +49,11 @@ __all__ = [
     "select_rank3",
 ]
 
+# Central subsets grow until they hold at least k_max + CENTRAL_MARGIN points.
+CENTRAL_MARGIN = 8
+# AUTO enables the circle searches when both clouds' aspect ratios reach this.
+ASPECT_THRESHOLD = 0.75
+
 
 class CircleHeuristics(str, enum.Enum):
     """Whether ranks 2 and 3 may use circle-based candidate ordering."""
@@ -66,25 +71,17 @@ class GpOptions:
         epsilon_r: central-subset radius as a fraction of the cloud
             diameter.  None picks max(0.25, 2*sqrt(k_max/min(n, m))),
             clamped to 1.
-        delta: safety margin; subsets are grown until they hold at least
-            k_max + delta points.
         use_circle_heuristics: AUTO enables the rank-2/3 circle searches
-            only when both clouds pass the aspect test below.
-        aspect_threshold: minimum bounding-rectangle aspect ratio for AUTO.
+            only when both clouds' bounding-rectangle aspect ratios reach
+            ASPECT_THRESHOLD.
     """
 
     epsilon_r: float | None = None
-    delta: int = 8
     use_circle_heuristics: CircleHeuristics = CircleHeuristics.AUTO
-    aspect_threshold: float = 0.75
 
     def __post_init__(self) -> None:
         if self.epsilon_r is not None and not (0.0 < self.epsilon_r <= 1.0):
             raise ValueError("epsilon_r must lie in (0, 1]")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-        if not (0.0 <= self.aspect_threshold <= 1.0):
-            raise ValueError("aspect_threshold must lie in [0, 1]")
 
 
 def epsilon_r_rule(k_max: int, cloud_size: int) -> float:
@@ -131,13 +128,15 @@ def central_subset(
     pivot_index: int,
     k_max: int,
     epsilon_r: float,
-    delta: int = 8,
+    delta: int = CENTRAL_MARGIN,
 ) -> tuple[np.ndarray, float]:
     """Indices within epsilon_r * diameter of the pivot point.
 
     The radius fraction is grown by factors of 1.1 until the subset holds
-    at least k_max + delta points (or the whole cloud).  Returns the index
-    array in ascending order together with the final fraction.
+    at least k_max + delta points (or the whole cloud).  The pivot point
+    itself is always included, so for k_max <= len(cloud) and delta >= 0
+    the subset holds at least k_max points.  Returns the index array in
+    ascending order together with the final fraction.
     """
     if epsilon_r <= 0.0:
         raise ValueError("epsilon_r must be positive")
@@ -146,29 +145,10 @@ def central_subset(
     eps = epsilon_r
     idx = np.flatnonzero(dist <= eps * cloud.diameter)
     while idx.size < required:
-        eps *= 1.1
+        # nextafter: 1.1 * eps rounds back to eps for the smallest subnormals.
+        eps = max(eps * 1.1, math.nextafter(eps, math.inf))
         idx = np.flatnonzero(dist <= eps * cloud.diameter)
     return idx, eps
-
-
-def _refill(
-    cloud: PointCloud,
-    pivot_index: int,
-    eps: float,
-    used: np.ndarray,
-) -> tuple[list[int], int, float] | None:
-    """Grow the central radius by 1.1 steps until an unused candidate
-    appears.  Returns (candidates, subset size, new fraction), or None
-    when every point of the cloud is already used."""
-    dist = np.linalg.norm(cloud.points - cloud.points[pivot_index], axis=1)
-    while True:
-        eps *= 1.1
-        idx = np.flatnonzero(dist <= eps * cloud.diameter)
-        work = [int(i) for i in idx if not used[i]]
-        if work:
-            return work, int(idx.size), eps
-        if idx.size == len(cloud):
-            return None
 
 
 def _walk_candidates(points, work, circle, probe) -> tuple[int, float]:
@@ -179,8 +159,6 @@ def _walk_candidates(points, work, circle, probe) -> tuple[int, float]:
     returning the previous candidate.  If the magnitudes grow until the
     pool empties, the best candidate seen is returned.
     """
-    if not work:
-        raise PivotsExhaustedError("no candidates to walk")
     remaining = list(work)
     best_j, best_abs, best_val = -1, -1.0, 0.0
     prev_j, prev_abs, prev_val = -1, -1.0, 0.0
@@ -290,8 +268,8 @@ def _circles_enabled(opts: GpOptions, x: PointCloud, y: PointCloud) -> bool:
     if opts.use_circle_heuristics is CircleHeuristics.OFF:
         return False
     return (
-        bounding_aspect_ratio(x) >= opts.aspect_threshold
-        and bounding_aspect_ratio(y) >= opts.aspect_threshold
+        bounding_aspect_ratio(x) >= ASPECT_THRESHOLD
+        and bounding_aspect_ratio(y) >= ASPECT_THRESHOLD
     )
 
 
@@ -319,7 +297,6 @@ def _transpose_skeleton(s: Skeleton) -> Skeleton:
         pivot_values=s.pivot_values,
         approx_norm=s.approx_norm,
         residual_norm=s.residual_norm,
-        eval_count_snapshot=s.eval_count_snapshot,
         pivot_trace=trace,
         rank_eval_counts=s.rank_eval_counts,
         norm_clamped=s.norm_clamped,
@@ -347,10 +324,11 @@ def aca_gp(
     aca_gp(y, x) is the exact transpose of aca_gp(x, y).  For n = m the row
     cloud is always X, and the swapped call may pick other pivots.
 
-    A selected pivot at or below the pivot floor (StoppingParams.epsilon_p,
-    or PIVOT_FLOOR_REL times the first pivot) ends the run with the rank
-    reached so far; classical `aca` instead skips such a row and tries
-    another.
+    A selected pivot at or below the pivot floor (PIVOT_FLOOR_REL times the
+    first pivot) ends the run with the rank reached so far; classical `aca`
+    instead skips such a row and tries another.  Otherwise the run reaches
+    k_max or the epsilon stop: the central subsets hold enough candidates
+    for every rank up to k_max.
 
     Rank k costs at most k(n+m) + k(|ic|+|jc|) + n + m kernel evaluations.
     """
@@ -370,36 +348,23 @@ def aca_gp(
     i1, j1 = first_pivot(x, y)
     row = builder.residual_row(i1)
     p1 = float(row[j1])
-    if abs(p1) <= builder.pivot_floor(stop.epsilon_p):
+    if abs(p1) <= builder.pivot_floor():
         return builder.build()
     col = builder.residual_col(j1)
     builder.add_cross(i1, j1, p1, row, col, "first")
     if k_max == 1 or builder.converged(stop.epsilon):
         return builder.build()
 
-    used_rows = np.zeros(n, dtype=bool)
-    used_cols = np.zeros(m, dtype=bool)
-    used_rows[i1] = True
-    used_cols[j1] = True
-    ic_idx, eps_x = central_subset(x, i1, k_max, eps_r, opts.delta)
-    jc_idx, eps_y = central_subset(y, j1, k_max, eps_r, opts.delta)
-    ic_size, jc_size = int(ic_idx.size), int(jc_idx.size)
+    # Each subset holds >= k_max points, the first pivot among them, and every
+    # selector picks from the work lists: neither list runs dry before k_max.
+    ic_idx, _ = central_subset(x, i1, k_max, eps_r)
+    jc_idx, _ = central_subset(y, j1, k_max, eps_r)
     ic_work = [int(i) for i in ic_idx if i != i1]
     jc_work = [int(j) for j in jc_idx if j != j1]
     use_circles = _circles_enabled(opts, x, y)
     c2: Circle | None = None
 
     while builder.rank < k_max:
-        if not ic_work:
-            grown = _refill(x, i1, eps_x, used_rows)
-            if grown is None:
-                break
-            ic_work, ic_size, eps_x = grown
-        if not jc_work:
-            grown = _refill(y, j1, eps_y, used_cols)
-            if grown is None:
-                break
-            jc_work, jc_size, eps_y = grown
         r_next = builder.rank + 1
         selection: tuple[int, int, float] | None = None
         selector = "central"
@@ -430,24 +395,15 @@ def aca_gp(
                 selection = (i_k, j_k, pivot)
                 selector = "circle3"
         if selection is None:
-            try:
-                i_k, j_k, pivot = select_higher(builder, ic_work, jc_work, rng)
-            except PivotsExhaustedError:
-                break
-            selection = (i_k, j_k, pivot)
-            selector = "central"
+            selection = select_higher(builder, ic_work, jc_work, rng)
         i_k, j_k, pivot = selection
-        if abs(pivot) <= builder.pivot_floor(stop.epsilon_p):
+        if abs(pivot) <= builder.pivot_floor():
             break
-        used_rows[i_k] = True
-        used_cols[j_k] = True
-        if i_k in ic_work:
-            ic_work.remove(i_k)
-        if j_k in jc_work:
-            jc_work.remove(j_k)
+        ic_work.remove(i_k)
+        jc_work.remove(j_k)
         row = builder.residual_row(i_k)
         col = builder.residual_col(j_k)
         builder.add_cross(i_k, j_k, pivot, row, col, selector)
         if builder.converged(stop.epsilon):
             break
-    return builder.build(central_rows=ic_size, central_cols=jc_size)
+    return builder.build(central_rows=ic_idx.size, central_cols=jc_idx.size)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -75,6 +76,8 @@ def _parse_central_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError("range must be start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError("range start, stop and step must be finite")
     if step <= 0.0 or stop < start:
         raise ValueError("range needs step > 0 and stop >= start")
     values = []

@@ -352,4 +352,8 @@ def cloud_from_json(text: str) -> PointCloud:
     data = json.loads(text)
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError('cloud JSON must be an object with a "points" key')
-    return PointCloud(np.asarray(data["points"], dtype=float))
+    try:
+        points = np.asarray(data["points"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f'cloud JSON "points" must be numeric: {exc}') from None
+    return PointCloud(points)

@@ -49,21 +49,19 @@ class StoppingParams:
             approximant norm.
         k_max: rank cap; defaults to half the smaller cloud size and is
             always clamped to min(n, m).
-        epsilon_p: absolute pivot floor.  When None, pivots are compared
-            against PIVOT_FLOOR_REL times the first pivot magnitude.
+
+    Pivots at or below PIVOT_FLOOR_REL times the first pivot magnitude
+    count as zero (see `aca` and `aca_gp` for what each does then).
     """
 
     epsilon: float
     k_max: int | None = None
-    epsilon_p: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError("epsilon must be finite and positive")
         if self.k_max is not None and self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if self.epsilon_p is not None and self.epsilon_p < 0.0:
-            raise ValueError("epsilon_p must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ class Skeleton:
     pivot_values: np.ndarray  # (k,)
     approx_norm: float
     residual_norm: float
-    eval_count_snapshot: int
     pivot_trace: tuple[PivotRecord, ...] = ()
     rank_eval_counts: tuple[int, ...] = ()
     norm_clamped: bool = False
@@ -248,10 +245,9 @@ class _SkeletonBuilder:
             values = values - self._u[rows, : self.rank] @ self._v[j, : self.rank]
         return values
 
-    def pivot_floor(self, explicit: float | None) -> float:
-        """Pivot magnitudes at or below this value stop a run."""
-        if explicit is not None:
-            return explicit
+    def pivot_floor(self) -> float:
+        """Pivot magnitudes at or below this value count as zero:
+        PIVOT_FLOOR_REL times the first pivot, or 0 before it."""
         if not self.pivot_values:
             return 0.0
         return PIVOT_FLOOR_REL * abs(self.pivot_values[0])
@@ -302,7 +298,6 @@ class _SkeletonBuilder:
             pivot_values=values,
             approx_norm=self.approx_norm,
             residual_norm=self.residual_norm if self.rank else 0.0,
-            eval_count_snapshot=self.kernel.eval_count,
             pivot_trace=tuple(self.trace),
             rank_eval_counts=tuple(self.rank_eval_counts),
             norm_clamped=self.norm_clamped,
@@ -336,7 +331,7 @@ def aca(
     used_rows = np.zeros(n, dtype=bool)
     used_cols = np.zeros(m, dtype=bool)
     prev_u: np.ndarray | None = None
-    while builder.rank < k_max and not used_cols.all():
+    while builder.rank < k_max:
         try:
             i_k = pivot_row_rule(used_rows, prev_u, rng)
         except PivotsExhaustedError:
@@ -347,7 +342,7 @@ def aca(
         scores[used_cols] = -1.0
         j_k = int(np.argmax(scores))
         pivot = float(row[j_k])
-        if abs(pivot) <= builder.pivot_floor(stop.epsilon_p):
+        if abs(pivot) <= builder.pivot_floor():
             continue  # residual row vanishes; try another row
         col = builder.residual_col(j_k)
         used_cols[j_k] = True

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acakit.acagp import (
     CircleHeuristics,
@@ -86,11 +88,7 @@ def test_gp_options_validation():
         GpOptions(epsilon_r=0.0)
     with pytest.raises(ValueError):
         GpOptions(epsilon_r=1.5)
-    with pytest.raises(ValueError):
-        GpOptions(delta=-1)
-    with pytest.raises(ValueError):
-        GpOptions(aspect_threshold=2.0)
-    GpOptions(epsilon_r=1.0, delta=0)
+    GpOptions(epsilon_r=1.0)
 
 
 # --- first pivot -------------------------------------------------------------
@@ -468,6 +466,50 @@ def test_acagp_swap_is_exact_transpose():
 )
 def test_acagp_swap_is_exact_transpose_more_shapes(n, m, circles):
     assert_swap_is_exact_transpose(n, m, circles)
+
+
+def property_cloud(kind, size, rng, shift):
+    """Uniform points in the unit square, the same points moved onto the
+    line y = x / 2, or rounded to a quarter grid (duplicates likely)."""
+    pts = rng.uniform(-0.5, 0.5, size=(size, 2))
+    if kind == "collinear":
+        pts[:, 1] = 0.5 * pts[:, 0]
+    elif kind == "grid":
+        pts = np.round(4.0 * pts) / 4.0
+    return PointCloud(pts + shift)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    data=st.data(),
+    eps_r=st.floats(0.0, 1.0, exclude_min=True),
+    mode=st.sampled_from(CircleHeuristics),
+    kind=st.sampled_from(["uniform", "collinear", "grid"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_acagp_pivots_stay_in_central_subsets(n, m, data, eps_r, mode, kind, seed):
+    """Every pivot after the first comes from the central subsets around the
+    first pivot pair, and the subsets never run out before k_max.  The
+    shift keeps the clouds apart and, for collinear clouds, puts both on
+    one line, so every circle through pivots is degenerate."""
+    k = data.draw(st.integers(1, min(n, m)), label="k_max")
+    rng = np.random.default_rng(seed)
+    x = property_cloud(kind, n, rng, (0.0, 0.0))
+    y = property_cloud(kind, m, rng, (2.0, 1.0))
+    skel = aca_gp(
+        x, y, KernelHandle(), StoppingParams(epsilon=1e-30, k_max=k),
+        GpOptions(epsilon_r=eps_r, use_circle_heuristics=mode), rng=rng,
+    )
+    assert 1 <= skel.rank <= k
+    rows, _ = central_subset(x, skel.pivot_rows[0], k, eps_r)
+    cols, _ = central_subset(y, skel.pivot_cols[0], k, eps_r)
+    assert set(skel.pivot_rows) <= set(rows.tolist())
+    assert set(skel.pivot_cols) <= set(cols.tolist())
+    if k > 1:
+        assert skel.central_row_count == rows.size
+        assert skel.central_col_count == cols.size
 
 
 def test_acagp_epsilon_stop():

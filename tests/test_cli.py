@@ -144,6 +144,9 @@ def test_approximate_unreachable_target_exit_code():
         (["benchmark", "--realizations", "2", "--dist", "nan"], "target_dist"),
         (["sweep-central", "--realizations", "2", "--dist", "inf"], "target_dist"),
         (["approximate", "--gen", "xi=1,n=50,m=50,dist=inf", "--force"], "target_dist"),
+        (["sweep-central", "--realizations", "2", "--central", "nan:0.5:0.1"], "finite"),
+        (["sweep-central", "--realizations", "2", "--central", "0.1:nan:0.1"], "finite"),
+        (["sweep-central", "--realizations", "2", "--central", "0.1:0.5:inf"], "finite"),
     ],
 )
 def test_non_finite_input_exit_code(argv, field):
@@ -152,6 +155,31 @@ def test_non_finite_input_exit_code(argv, field):
     error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(error) == 1 and field in error[0]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "points", [{"a": 1}, [[0.0, {"b": 2}]], [[0.0, "x"]]], ids=["dict", "nested", "string"]
+)
+def test_non_numeric_points_exit_code(tmp_path, points):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"points": points}))
+    _, good = write_cloud_pair(tmp_path)
+    proc = run_cli_process("approximate", "--clouds", str(bad), str(good), "--force")
+    assert proc.returncode == 2
+    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1 and '"points"' in error[0]
+    assert "Traceback" not in proc.stderr
+
+
+def test_approximate_subnormal_central_fraction():
+    """A tiny positive --central is valid; growing the central subsets from
+    it must terminate."""
+    proc = run_cli_process(
+        "approximate", "--gen", "xi=1,n=30,m=30,dist=2", "--central", "5e-324",
+        "--max-rank", "5", "--force",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rank"] == 5
 
 
 def test_approximate_bad_gen_string(capsys):

@@ -48,7 +48,6 @@ def empty_skeleton(n, m):
         pivot_values=values,
         approx_norm=0.0,
         residual_norm=0.0,
-        eval_count_snapshot=0,
         pivot_trace=(),
         rank_eval_counts=(),
         norm_clamped=False,
@@ -66,9 +65,7 @@ def test_stopping_params_validation():
         StoppingParams(epsilon=-1e-6)
     with pytest.raises(ValueError):
         StoppingParams(epsilon=1e-6, k_max=0)
-    with pytest.raises(ValueError):
-        StoppingParams(epsilon=1e-6, epsilon_p=-1.0)
-    StoppingParams(epsilon=1e-6, k_max=3, epsilon_p=0.0)
+    StoppingParams(epsilon=1e-6, k_max=3)
 
 
 def test_default_max_rank():
