@@ -47,6 +47,9 @@ __all__ = ["main"]
 
 GEN_KEYS = ("xi", "n", "m", "dist")
 
+# Most values a sweep-central range may give.
+MAX_GRID_POINTS = 10_000
+
 
 def _parse_gen(text: str) -> dict:
     """Parse a generation string like "xi=1,n=100,m=100,dist=2.5"."""
@@ -80,9 +83,18 @@ def _parse_central_range(text: str) -> list[float]:
         raise ValueError("range start, stop and step must be finite")
     if step <= 0.0 or stop < start:
         raise ValueError("range needs step > 0 and stop >= start")
+    if start + step == start:
+        raise ValueError(f"range step {step!r} does not advance start {start!r}")
+    too_many = f"range gives more than {MAX_GRID_POINTS} values"
+    if (stop - start) / step >= MAX_GRID_POINTS:
+        raise ValueError(too_many)
     values = []
     v = start
     while v <= stop + 1e-12:
+        # A step that advanced start can stop advancing v past a power of
+        # two, so the loop is bounded as well.
+        if len(values) == MAX_GRID_POINTS:
+            raise ValueError(too_many)
         values.append(round(v, 12))
         v += step
     return values

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from .acagp import GpOptions, aca_gp, epsilon_r_rule
-from .geometry import place_clouds
+from .geometry import PointCloud, place_clouds
 from .kernel import KernelHandle
 from .lowrank import Skeleton, StoppingParams, aca
 from .oracle import InfiniteGainError, gain, svd_rank_errors
@@ -149,36 +149,79 @@ def _per_rank_counts(skeleton: Skeleton, k_max: int) -> np.ndarray:
     return np.asarray(counts, dtype=np.int64)
 
 
-def run_realization(config: ExperimentConfig, index: int) -> RealizationResult:
+@dataclass(frozen=True, eq=False)
+class _Classical:
+    """The part of one realization that no central radius changes.
+
+    rng_state is the generator state right after the classical run, where
+    the geometry-aided run picks up the realization's stream.
+    """
+
+    x: PointCloud
+    y: PointCloud
+    theta: float
+    a: np.ndarray
+    aca_errors: np.ndarray
+    aca_counts: np.ndarray
+    svd_errors: np.ndarray
+    rng_state: dict
+
+
+def _stopping(config: ExperimentConfig) -> StoppingParams:
+    k_max = min(config.k_max, config.n, config.m)
+    return StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=k_max)
+
+
+def _classical(config: ExperimentConfig, index: int) -> _Classical:
+    """Place realization `index`, run classical ACA and take the SVD floors."""
+    rng = np.random.default_rng(config.base_seed + index)
+    x, y, theta = place_clouds(
+        config.xi, config.n, config.m, config.target_dist, rng
+    )
+    stop = _stopping(config)
+    skel_aca = aca(x, y, KernelHandle(), stop, rng)
+    a = KernelHandle().assemble_dense(x, y)
+    return _Classical(
+        x=x,
+        y=y,
+        theta=theta,
+        a=a,
+        aca_errors=_per_rank_errors(a, skel_aca, stop.k_max),
+        aca_counts=_per_rank_counts(skel_aca, stop.k_max),
+        svd_errors=svd_rank_errors(a, stop.k_max),
+        rng_state=rng.bit_generator.state,
+    )
+
+
+def run_realization(
+    config: ExperimentConfig, index: int, classical: _Classical | None = None
+) -> RealizationResult:
     """Draw, place, approximate and measure one cloud pair.
 
     A single RNG stream seeded with base_seed + index drives placement,
     then the classical run, then the geometry-aided run; both methods see
     identical clouds.  Kernel evaluations are counted per method on
-    separate handles.
+    separate handles.  `classical` is `_classical(config, index)`, computed
+    here when not given; a sweep passes one record to every radius.
     """
+    if classical is None:
+        classical = _classical(config, index)
+    x, y, a = classical.x, classical.y, classical.a
+    stop = _stopping(config)
+    k_max = stop.k_max
     rng = np.random.default_rng(config.base_seed + index)
-    x, y, theta = place_clouds(
-        config.xi, config.n, config.m, config.target_dist, rng
-    )
-    k_max = min(config.k_max, config.n, config.m)
-    stop = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=k_max)
-    kern_aca = KernelHandle()
-    skel_aca = aca(x, y, kern_aca, stop, rng)
-    kern_gp = KernelHandle()
+    rng.bit_generator.state = classical.rng_state
     skel_gp = aca_gp(
-        x, y, kern_gp, stop, GpOptions(epsilon_r=config.epsilon_r), rng=rng
+        x, y, KernelHandle(), stop, GpOptions(epsilon_r=config.epsilon_r), rng=rng
     )
-    kern_dense = KernelHandle()
-    a = kern_dense.assemble_dense(x, y)
-    e_svd = svd_rank_errors(a, k_max)
+    e_svd = classical.svd_errors
     errors = {
-        "aca": _per_rank_errors(a, skel_aca, k_max),
+        "aca": classical.aca_errors,
         "acagp": _per_rank_errors(a, skel_gp, k_max),
         "svd": e_svd,
     }
     eval_counts = {
-        "aca": _per_rank_counts(skel_aca, k_max),
+        "aca": classical.aca_counts,
         "acagp": _per_rank_counts(skel_gp, k_max),
         "svd": np.full(k_max, len(x) * len(y), dtype=np.int64),
     }
@@ -192,7 +235,7 @@ def run_realization(config: ExperimentConfig, index: int) -> RealizationResult:
             inf_gains[l] = True
     return RealizationResult(
         index=index,
-        theta=theta,
+        theta=classical.theta,
         errors=errors,
         eval_counts=eval_counts,
         gains=gains,
@@ -268,19 +311,26 @@ def run_benchmark(config: ExperimentConfig) -> list[RankStats]:
 def run_eps_sweep(
     config: ExperimentConfig, eps_values: list[float]
 ) -> list[SweepPoint]:
-    """Re-run the benchmark over a grid of central radius fractions.
+    """Run the benchmark over a grid of central radius fractions.
 
-    Each grid value runs the whole benchmark again: placement, classical
-    ACA, dense assembly and the SVD floors are recomputed for every value.
-    Every run reuses the same per-realization seeds, so those results are
-    reproduced, not shared, and only the geometry-aided candidate pools
-    vary.
+    Only the geometry-aided run depends on the radius.  Each realization
+    is placed, approximated by classical ACA, assembled densely and given
+    its SVD floors once, and that record is shared by every grid value;
+    the geometry-aided run of each value resumes the realization's RNG
+    stream where the classical run left it.  The points equal those of
+    `run_benchmark` run separately at each value.  Every grid value is
+    validated before the first realization.
     """
     if not eps_values:
         raise ValueError("empty epsilon_r grid")
+    configs = [replace(config, epsilon_r=eps) for eps in eps_values]
+    results: list[list[RealizationResult]] = [[] for _ in configs]
+    for index in range(config.realizations):
+        classical = _classical(config, index)
+        for cfg, per_eps in zip(configs, results):
+            per_eps.append(run_realization(cfg, index, classical))
     points: list[SweepPoint] = []
-    for eps in eps_values:
-        stats = run_benchmark(replace(config, epsilon_r=eps))
+    for eps, per_eps in zip(eps_values, results):
         points.extend(
             SweepPoint(
                 epsilon_r=eps,
@@ -289,7 +339,7 @@ def run_eps_sweep(
                 gain_log_std=s.gain_log_std,
                 inf_gain_count=s.inf_gain_count,
             )
-            for s in stats
+            for s in aggregate(per_eps)
         )
     return points
 

@@ -158,6 +158,23 @@ def test_non_finite_input_exit_code(argv, field):
 
 
 @pytest.mark.parametrize(
+    "central, message",
+    [
+        ("0.1:0.5:1e-300", "does not advance"),
+        ("0.1:0.5:1e-9", "more than 10000 values"),
+        # The step advances start but not v once it reaches 2.0.
+        ("1.9999999999999:2.0000000000009:1.2e-16", "more than 10000 values"),
+    ],
+)
+def test_unbounded_sweep_range_exit_code(central, message):
+    proc = run_cli_process("sweep-central", "--realizations", "2", "--central", central)
+    assert proc.returncode == 2
+    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1 and message in error[0]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "points", [{"a": 1}, [[0.0, {"b": 2}]], [[0.0, "x"]]], ids=["dict", "nested", "string"]
 )
 def test_non_numeric_points_exit_code(tmp_path, points):
@@ -277,6 +294,24 @@ def test_sweep_central_range(capsys):
 
 def test_sweep_central_bad_range(capsys):
     assert main(["sweep-central", "--central", "0.5:0.1:0.1"]) == 2
+
+
+def test_sweep_central_rejects_grid_before_any_realization(monkeypatch, capsys):
+    calls = []
+    real = acakit.experiments.place_clouds
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(acakit.experiments, "place_clouds", counted)
+    argv = ["sweep-central", "--n", "20", "--m", "20", "--realizations", "2",
+            "--max-rank", "2", "--central", "0.5:1.5:0.5"]
+    assert main(argv) == 2
+    error = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("error:")]
+    assert len(error) == 1 and "epsilon_r" in error[0]
+    assert calls == []
 
 
 # --- genetic -----------------------------------------------------------------------

@@ -1,13 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from acakit.acagp import GpOptions, aca_gp
 from acakit.experiments import (
     METHODS,
+    RUN_TO_RANK_EPSILON,
     ExperimentConfig,
     RankStats,
     RealizationResult,
+    SweepPoint,
+    _classical,
+    _per_rank_errors,
     aggregate,
     config_echo,
     epsilon_r_rule,
@@ -18,6 +24,9 @@ from acakit.experiments import (
     run_realization,
     run_realizations,
 )
+from acakit.geometry import place_clouds
+from acakit.kernel import KernelHandle
+from acakit.lowrank import StoppingParams, aca
 
 SMALL = dict(n=40, m=40, target_dist=2.0, k_max=4, epsilon_r=0.5)
 
@@ -233,6 +242,56 @@ def test_eps_sweep_shares_seeds_across_fractions():
     # Rank 2 is nearly neutral to it (the pool ordering shifts slightly).
     rank2 = sorted(p.gain_log_mean for p in points if p.rank == 2)
     assert math.log10(rank2[-1] / rank2[0]) < 0.35
+
+
+def single_stream_acagp_errors(cfg, index):
+    """acagp errors of one realization whose placement, aca and aca_gp
+    draw from one generator in that order, as run_realization documents."""
+    rng = np.random.default_rng(cfg.base_seed + index)
+    x, y, _ = place_clouds(cfg.xi, cfg.n, cfg.m, cfg.target_dist, rng)
+    stop = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=cfg.k_max)
+    aca(x, y, KernelHandle(), stop, rng)
+    opts = GpOptions(epsilon_r=cfg.epsilon_r)
+    skel = aca_gp(x, y, KernelHandle(), stop, opts, rng=rng)
+    return _per_rank_errors(KernelHandle().assemble_dense(x, y), skel, cfg.k_max)
+
+
+@pytest.mark.parametrize("n, m", [(40, 40), (30, 45)])
+def test_eps_sweep_matches_per_radius_benchmark(n, m):
+    cfg = ExperimentConfig(
+        n=n, m=m, target_dist=2.0, realizations=5, k_max=4, epsilon_r=0.1
+    )
+    grid = [0.1, 0.25, 0.5]
+    expected = [
+        SweepPoint(
+            epsilon_r=eps,
+            rank=s.rank,
+            gain_log_mean=s.gain_log_mean,
+            gain_log_std=s.gain_log_std,
+            inf_gain_count=s.inf_gain_count,
+        )
+        for eps in grid
+        for s in run_benchmark(replace(cfg, epsilon_r=eps))
+    ]
+    assert run_eps_sweep(cfg, grid) == expected
+    # A record computed at another radius gives the same realization.
+    for i in range(cfg.realizations):
+        wide = replace(cfg, epsilon_r=0.5)
+        shared = run_realization(wide, i, _classical(cfg, i))
+        alone = run_realization(wide, i)
+        assert np.array_equal(
+            shared.errors["acagp"], single_stream_acagp_errors(wide, i)
+        )
+        assert shared.theta == alone.theta
+        assert shared.central_row_count == alone.central_row_count
+        assert shared.central_col_count == alone.central_col_count
+        for method in METHODS:
+            assert np.array_equal(shared.errors[method], alone.errors[method])
+            assert np.array_equal(
+                shared.eval_counts[method], alone.eval_counts[method]
+            )
+        assert np.array_equal(shared.gains, alone.gains, equal_nan=True)
+        assert np.array_equal(shared.inf_gains, alone.inf_gains)
 
 
 # --- rendering --------------------------------------------------------------------------
