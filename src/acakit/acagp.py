@@ -22,7 +22,6 @@ from .geometry import (
     DegenerateGeometryError,
     PointCloud,
     _circle_distances,
-    bounding_aspect_ratio,
     circumcircle,
     conjugate_circle,
 )
@@ -267,10 +266,7 @@ def _circles_enabled(opts: GpOptions, x: PointCloud, y: PointCloud) -> bool:
         return True
     if opts.use_circle_heuristics is CircleHeuristics.OFF:
         return False
-    return (
-        bounding_aspect_ratio(x) >= ASPECT_THRESHOLD
-        and bounding_aspect_ratio(y) >= ASPECT_THRESHOLD
-    )
+    return x.aspect_ratio >= ASPECT_THRESHOLD and y.aspect_ratio >= ASPECT_THRESHOLD
 
 
 def _transpose_skeleton(s: Skeleton) -> Skeleton:

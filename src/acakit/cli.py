@@ -199,7 +199,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_benchmark(args) -> int:
     config = _benchmark_config(args)
-    stats = run_benchmark(config)
+    stats = run_benchmark(config, args.threads)
     _emit(render_benchmark_csv(stats, config), args.out)
     return 0
 
@@ -207,7 +207,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_sweep_central(args) -> int:
     values = _parse_central_range(args.central)
     config = _benchmark_config(args, epsilon_r=values[0])
-    points = run_eps_sweep(config, values)
+    points = run_eps_sweep(config, values, args.threads)
     _emit(render_sweep_csv(points, config), args.out)
     return 0
 
@@ -271,8 +271,10 @@ def _add_benchmark_flags(
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument(
-        "--threads", type=int, default=None,
-        help="accepted for compatibility and ignored: realizations run in one thread",
+        "--threads", type=int, default=1,
+        help="most worker processes for the realizations, one BLAS thread each"
+        " (default 1: serial); runs too small to pay for starting workers"
+        " stay serial, and the output is the same for every value",
     )
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 

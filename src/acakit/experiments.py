@@ -10,6 +10,8 @@ gains are aggregated geometrically.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +46,17 @@ RUN_TO_RANK_EPSILON = 1e-30
 
 # log10 guard for exactly-zero errors or gains (never hit in practice).
 LOG_FLOOR = 1e-300
+
+# Fewest realization runs (realizations x grid values) that pay for one
+# worker process.  Starting two spawned workers takes about 0.6 s, most
+# of it importing numpy and scipy.  At n = m = 200, k = 10 on 2 CPUs, two
+# workers tie with one process on a 9-radius sweep of 198 runs (1.2 s)
+# and win at 450 (2.0-2.5 s -> 1.7 s) and on a 200-realization benchmark
+# (2.8 s -> 1.8-2.0 s).
+MIN_RUNS_PER_WORKER = 100
+
+# Set to "1" while worker processes start, so that each runs one BLAS thread.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -245,15 +258,89 @@ def run_realization(
     )
 
 
-def run_realizations(config: ExperimentConfig) -> list[RealizationResult]:
-    """All realizations of a config, computed one after another in index
-    order in the calling thread.
+def _run_block(
+    configs: list[ExperimentConfig], indices: range
+) -> list[list[RealizationResult]]:
+    """Per realization index, one result per config.
 
-    The SVD floors and the error oracle already run on BLAS threads; a
-    thread pool over realizations oversubscribes them and measured slower
-    than this loop.
+    The configs differ only in epsilon_r, so each index is placed, run
+    by classical ACA and given its SVD floors once for all of them.
     """
-    return [run_realization(config, i) for i in range(config.realizations)]
+    rows = []
+    for index in indices:
+        classical = _classical(configs[0], index)
+        rows.append([run_realization(cfg, index, classical) for cfg in configs])
+    return rows
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, realizations: int, grid_size: int = 1) -> int:
+    """Worker processes for `realizations` x `grid_size` runs; 1 means
+    serial.  A worker takes whole realizations, so there are never more
+    workers than realizations."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    runs = realizations * grid_size
+    return max(
+        1, min(threads, _usable_cpus(), realizations, runs // MIN_RUNS_PER_WORKER)
+    )
+
+
+def _pinned_pool(workers: int):
+    """A spawn pool whose workers start with one BLAS thread each.
+
+    Pool starts its workers in its constructor, so the thread variables
+    are set only for that call and the parent's environment is restored
+    after it.  A fork would inherit the parent's BLAS threads.
+    """
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        return multiprocessing.get_context("spawn").Pool(workers)
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+
+
+def _run_grid(
+    configs: list[ExperimentConfig], threads: int
+) -> list[list[RealizationResult]]:
+    """Results per config, each list in realization index order."""
+    count = configs[0].realizations
+    workers = _worker_count(threads, count, len(configs))
+    if workers == 1:
+        rows = _run_block(configs, range(count))
+    else:
+        bounds = [count * w // workers for w in range(workers + 1)]
+        chunks = [(configs, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        with _pinned_pool(workers) as pool:
+            blocks = pool.starmap(_run_block, chunks)
+        rows = [row for block in blocks for row in block]
+    return [list(per_config) for per_config in zip(*rows)]
+
+
+def run_realizations(
+    config: ExperimentConfig, threads: int = 1
+) -> list[RealizationResult]:
+    """All realizations of a config, in index order.
+
+    `threads` caps the worker processes.  The count used is the smallest
+    of `threads`, the usable CPUs and realizations // MIN_RUNS_PER_WORKER,
+    at least 1; at 1 the realizations run in the calling process, so the
+    pinned 100-realization benchmark always does.  Workers are spawned
+    with one BLAS thread each and take contiguous index chunks.  Results
+    do not depend on the worker count.
+    """
+    return _run_grid([config], threads)[0]
 
 
 def aggregate(results: list[RealizationResult]) -> list[RankStats]:
@@ -303,13 +390,14 @@ def aggregate(results: list[RealizationResult]) -> list[RankStats]:
     return stats
 
 
-def run_benchmark(config: ExperimentConfig) -> list[RankStats]:
-    """Aggregate statistics over config.realizations cloud draws."""
-    return aggregate(run_realizations(config))
+def run_benchmark(config: ExperimentConfig, threads: int = 1) -> list[RankStats]:
+    """Aggregate statistics over config.realizations cloud draws, on up
+    to `threads` worker processes (see `run_realizations`)."""
+    return aggregate(run_realizations(config, threads))
 
 
 def run_eps_sweep(
-    config: ExperimentConfig, eps_values: list[float]
+    config: ExperimentConfig, eps_values: list[float], threads: int = 1
 ) -> list[SweepPoint]:
     """Run the benchmark over a grid of central radius fractions.
 
@@ -320,15 +408,16 @@ def run_eps_sweep(
     stream where the classical run left it.  The points equal those of
     `run_benchmark` run separately at each value.  Every grid value is
     validated before the first realization.
+
+    `threads` caps the worker processes as in `run_realizations`, with
+    realizations x grid values runs counted against MIN_RUNS_PER_WORKER;
+    a worker runs every grid value of its realizations.  Statistics are
+    aggregated here, once per grid value, whatever the worker count.
     """
     if not eps_values:
         raise ValueError("empty epsilon_r grid")
     configs = [replace(config, epsilon_r=eps) for eps in eps_values]
-    results: list[list[RealizationResult]] = [[] for _ in configs]
-    for index in range(config.realizations):
-        classical = _classical(config, index)
-        for cfg, per_eps in zip(configs, results):
-            per_eps.append(run_realization(cfg, index, classical))
+    results = _run_grid(configs, threads)
     points: list[SweepPoint] = []
     for eps, per_eps in zip(eps_values, results):
         points.extend(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -89,8 +90,9 @@ class PointCloud:
 
     The barycenter (mean of the points) and the diameter estimate (twice
     the largest distance to the barycenter, at most twice the true
-    diameter) are computed once at construction and cached; the
-    coordinate array is frozen to keep the caches consistent.
+    diameter) are computed once at construction and cached, the aspect
+    ratio once on first use; the coordinate array is frozen to keep the
+    caches consistent.
     """
 
     points: np.ndarray
@@ -116,6 +118,11 @@ class PointCloud:
 
     def point(self, i: int) -> np.ndarray:
         return self.points[i]
+
+    @cached_property
+    def aspect_ratio(self) -> float:
+        """`bounding_aspect_ratio` of this cloud."""
+        return bounding_aspect_ratio(self)
 
     def transformed(self, theta: float = 0.0, shift=(0.0, 0.0)) -> "PointCloud":
         """Rigidly move the cloud: rotate by theta about its barycenter,

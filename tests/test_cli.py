@@ -258,6 +258,91 @@ def test_benchmark_thread_count_invariant(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, threads", [("benchmark", "0"), ("sweep-central", "-3")]
+)
+def test_threads_below_one_exit_code(command, threads):
+    proc = run_cli_process(command, "--realizations", "2", "--threads", threads)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1 and "threads" in error[0]
+
+
+POOL_ARGS = {
+    "benchmark": (200, []),
+    "sweep-central": (70, ["--central", "0.1:0.3:0.1"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(POOL_ARGS))
+def test_pooled_csv_matches_serial(command, tmp_path, monkeypatch):
+    realizations, extra = POOL_ARGS[command]
+    monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
+    assert acakit.experiments._worker_count(2, realizations, 3 if extra else 1) == 2
+    pools = []
+    real = acakit.experiments._pinned_pool
+
+    def spy(workers):
+        pools.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(acakit.experiments, "_pinned_pool", spy)
+    argv = [
+        command, "--n", "30", "--m", "30", "--dist", "2.0", "--max-rank", "4",
+        "--realizations", str(realizations), *extra,
+    ]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert pools == [2]
+    assert outs[0] == outs[1]
+
+
+# Run as the main module, so every spawned worker imports it again and
+# gets the planted failure; the parent keeps the real function.
+FAILING_WORKER = """
+import multiprocessing
+import sys
+
+import acakit.experiments
+
+real = acakit.experiments.run_realization
+
+
+def planted(config, index, classical=None):
+    if multiprocessing.parent_process() is not None:
+        raise ValueError(f"planted failure in realization {index}")
+    return real(config, index, classical)
+
+
+acakit.experiments.run_realization = planted
+acakit.experiments._usable_cpus = lambda: 2
+
+if __name__ == "__main__":
+    from acakit.cli import main
+
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_worker_value_error_exit_code(tmp_path):
+    script = tmp_path / "failing_worker.py"
+    script.write_text(FAILING_WORKER)
+    env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, str(script), "benchmark", "--n", "30", "--m", "30",
+         "--max-rank", "4", "--realizations", "200", "--threads", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1 and "planted failure" in error[0]
+
+
 def test_benchmark_single_realization(capsys):
     argv = [
         "benchmark", "--n", "25", "--m", "25", "--realizations", "1",

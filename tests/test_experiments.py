@@ -1,11 +1,15 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import acakit.experiments
+import acakit.geometry
 from acakit.acagp import GpOptions, aca_gp
 from acakit.experiments import (
+    BLAS_THREAD_VARS,
     METHODS,
     RUN_TO_RANK_EPSILON,
     ExperimentConfig,
@@ -14,6 +18,7 @@ from acakit.experiments import (
     SweepPoint,
     _classical,
     _per_rank_errors,
+    _worker_count,
     aggregate,
     config_echo,
     epsilon_r_rule,
@@ -292,6 +297,82 @@ def test_eps_sweep_matches_per_radius_benchmark(n, m):
             )
         assert np.array_equal(shared.gains, alone.gains, equal_nan=True)
         assert np.array_equal(shared.inf_gains, alone.inf_gains)
+
+
+def test_eps_sweep_computes_each_aspect_ratio_once(monkeypatch):
+    calls = []
+    real = acakit.geometry.bounding_aspect_ratio
+
+    def counted(cloud):
+        calls.append(cloud)
+        return real(cloud)
+
+    monkeypatch.setattr(acakit.geometry, "bounding_aspect_ratio", counted)
+    cfg = ExperimentConfig(realizations=3, **SMALL)
+    run_eps_sweep(cfg, [round(0.1 + 0.05 * i, 12) for i in range(9)])
+    # Square clouds pass the aspect test, so both clouds are measured:
+    # once per realization, not once per radius.
+    assert len(calls) == 2 * cfg.realizations
+    assert len({id(cloud) for cloud in calls}) == len(calls)
+
+
+# --- worker processes -----------------------------------------------------------
+
+@pytest.mark.parametrize("threads", [1, 2, 4, 64])
+def test_worker_gate_keeps_small_runs_serial(threads, monkeypatch):
+    monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 64)
+    # perfbench warm-ups (2 realizations, up to 2 radii) and the pinned
+    # 100-realization benchmark.
+    assert _worker_count(threads, 2) == 1
+    assert _worker_count(threads, 2, 2) == 1
+    assert _worker_count(threads, 100) == 1
+    # Never more workers than realizations, CPUs or `threads`.
+    assert _worker_count(threads, 1, 10_000) == 1
+    # sweep-n200: 50 realizations x 9 radii.
+    assert _worker_count(threads, 50, 9) == min(threads, 4)
+    monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 1)
+    assert _worker_count(threads, 50, 9) == 1
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_worker_gate_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads"):
+        _worker_count(threads, 100)
+
+
+def test_pooled_realizations_match_serial_and_restore_environ(monkeypatch):
+    pools = []
+    real = acakit.experiments._pinned_pool
+
+    def spy(workers):
+        """Record the worker count and the thread variables a worker sees."""
+        pool = real(workers)
+        seen = [
+            pool.apply_async(os.getenv, (var,)).get(timeout=60)
+            for var in BLAS_THREAD_VARS
+        ]
+        pools.append((workers, seen))
+        return pool
+
+    monkeypatch.setattr(acakit.experiments, "_pinned_pool", spy)
+    monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "")
+    cfg = ExperimentConfig(realizations=200, n=30, m=30, target_dist=2.0, k_max=4)
+    assert _worker_count(2, cfg.realizations) == 2
+    before = dict(os.environ)
+    pooled = run_realizations(cfg, threads=2)
+    assert dict(os.environ) == before
+    assert pools == [(2, ["1", "1", "1"])]
+    serial = run_realizations(cfg)
+    assert [r.index for r in pooled] == list(range(cfg.realizations))
+    for a, b in zip(pooled, serial):
+        assert a.theta == b.theta
+        for method in METHODS:
+            assert np.array_equal(a.errors[method], b.errors[method])
+            assert np.array_equal(a.eval_counts[method], b.eval_counts[method])
+        assert np.array_equal(a.gains, b.gains, equal_nan=True)
 
 
 # --- rendering --------------------------------------------------------------------------
