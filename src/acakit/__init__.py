@@ -37,7 +37,6 @@ from .geometry import (
     generate_cloud,
     is_admissible,
     place_clouds,
-    relaxed_distance,
     true_distance,
 )
 from .kernel import (

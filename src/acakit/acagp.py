@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .geometry import (
 )
 from .kernel import KernelHandle
 from .lowrank import (
-    PivotRecord,
     PivotsExhaustedError,
     Skeleton,
     StoppingParams,
@@ -154,26 +153,19 @@ def _walk_candidates(points, work, circle, probe) -> tuple[int, float]:
     """Probe candidates in order of distance to a circle.
 
     Evaluates the residual at the candidate nearest the circle, then the
-    next nearest, and stops as soon as the magnitude fails to increase,
-    returning the previous candidate.  If the magnitudes grow until the
-    pool empties, the best candidate seen is returned.
+    next nearest (ties in pool order), and stops as soon as the magnitude
+    fails to increase, returning the previous candidate.  If the
+    magnitudes grow until the pool empties, the last candidate is
+    returned; an empty pool gives (-1, 0.0).
     """
-    remaining = list(work)
+    work = np.asarray(work, dtype=np.intp)
+    order = np.argsort(_circle_distances(points[work], circle), kind="stable")
     best_j, best_abs, best_val = -1, -1.0, 0.0
-    prev_j, prev_abs, prev_val = -1, -1.0, 0.0
-    first = True
-    while remaining:
-        arr = np.asarray(remaining)
-        pos = int(np.argmin(_circle_distances(points[arr], circle)))
-        j = int(arr[pos])
-        val = float(probe(j))
-        if not first and abs(val) <= prev_abs:
-            return prev_j, prev_val
-        if abs(val) > best_abs:
-            best_j, best_abs, best_val = j, abs(val), val
-        prev_j, prev_abs, prev_val = j, abs(val), val
-        remaining.pop(pos)
-        first = False
+    for j in work[order]:
+        val = float(probe(int(j)))
+        if abs(val) <= best_abs:
+            break
+        best_j, best_abs, best_val = int(j), abs(val), val
     return best_j, best_val
 
 
@@ -281,21 +273,11 @@ def _transpose_skeleton(s: Skeleton) -> Skeleton:
     v = s.u_matrix * signs
     u.setflags(write=False)
     v.setflags(write=False)
-    trace = tuple(
-        PivotRecord(r.rank, r.j, r.i, r.pivot_value, r.selector)
-        for r in s.pivot_trace
-    )
-    return Skeleton(
+    return replace(
+        s,
         u_matrix=u,
         v_matrix=v,
-        pivot_rows=s.pivot_cols,
-        pivot_cols=s.pivot_rows,
-        pivot_values=s.pivot_values,
-        approx_norm=s.approx_norm,
-        residual_norm=s.residual_norm,
-        pivot_trace=trace,
-        rank_eval_counts=s.rank_eval_counts,
-        norm_clamped=s.norm_clamped,
+        pivot_trace=tuple(replace(r, i=r.j, j=r.i) for r in s.pivot_trace),
         central_row_count=s.central_col_count,
         central_col_count=s.central_row_count,
     )
@@ -380,7 +362,7 @@ def aca_gp(
                 try:
                     c2 = circumcircle(
                         x.points[i1], y.points[j1],
-                        x.points[builder.pivot_rows[1]],
+                        x.points[builder.trace[1].i],
                     )
                 except DegenerateGeometryError:
                     c2 = None

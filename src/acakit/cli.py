@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,7 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
         DenseCapExceededError,
         SingularEvaluationError,
+        BrokenProcessPool,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,9 +9,11 @@ gains are aggregated geometrically.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +57,7 @@ LOG_FLOOR = 1e-300
 # (2.8 s -> 1.8-2.0 s).
 MIN_RUNS_PER_WORKER = 100
 
-# Set to "1" while worker processes start, so that each runs one BLAS thread.
+# Set to "1" while a worker pool runs, so that each worker runs one BLAS thread.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -104,7 +106,6 @@ class RealizationResult:
     errors: dict[str, np.ndarray]
     eval_counts: dict[str, np.ndarray]
     gains: np.ndarray  # NaN where the gain is unbounded
-    inf_gains: np.ndarray
     central_row_count: int
     central_col_count: int
 
@@ -239,20 +240,17 @@ def run_realization(
         "svd": np.full(k_max, len(x) * len(y), dtype=np.int64),
     }
     gains = np.empty(k_max)
-    inf_gains = np.zeros(k_max, dtype=bool)
     for l in range(k_max):
         try:
             gains[l] = gain(errors["aca"][l], errors["acagp"][l], e_svd[l])
         except InfiniteGainError:
             gains[l] = np.nan
-            inf_gains[l] = True
     return RealizationResult(
         index=index,
         theta=classical.theta,
         errors=errors,
         eval_counts=eval_counts,
         gains=gains,
-        inf_gains=inf_gains,
         central_row_count=skel_gp.central_row_count,
         central_col_count=skel_gp.central_col_count,
     )
@@ -292,17 +290,20 @@ def _worker_count(threads: int, realizations: int, grid_size: int = 1) -> int:
     )
 
 
-def _pinned_pool(workers: int):
-    """A spawn pool whose workers start with one BLAS thread each.
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to "1" for the with block, then
+    restore each (set or absent) exactly.
 
-    Pool starts its workers in its constructor, so the thread variables
-    are set only for that call and the parent's environment is restored
-    after it.  A fork would inherit the parent's BLAS threads.
+    A spawned worker takes the environment it starts with, and the
+    executor starts one in `submit` whenever none is idle, so the pool
+    runs inside this block.  A fork would inherit the parent's BLAS
+    threads.
     """
     saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
-        return multiprocessing.get_context("spawn").Pool(workers)
+        yield
     finally:
         for var, value in saved.items():
             if value is None:
@@ -314,16 +315,20 @@ def _pinned_pool(workers: int):
 def _run_grid(
     configs: list[ExperimentConfig], threads: int
 ) -> list[list[RealizationResult]]:
-    """Results per config, each list in realization index order."""
+    """Results per config, each list in realization index order.
+
+    A worker that dies raises BrokenProcessPool (a RuntimeError) here.
+    """
     count = configs[0].realizations
     workers = _worker_count(threads, count, len(configs))
     if workers == 1:
         rows = _run_block(configs, range(count))
     else:
         bounds = [count * w // workers for w in range(workers + 1)]
-        chunks = [(configs, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-        with _pinned_pool(workers) as pool:
-            blocks = pool.starmap(_run_block, chunks)
+        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            blocks = list(pool.map(_run_block, [configs] * workers, chunks))
         rows = [row for block in blocks for row in block]
     return [list(per_config) for per_config in zip(*rows)]
 
@@ -367,8 +372,9 @@ def aggregate(results: list[RealizationResult]) -> list[RankStats]:
                 np.mean([r.eval_counts[method][l] for r in results])
             )
         gains = np.array([r.gains[l] for r in results])
-        finite = gains[~np.isnan(gains)]
-        inf_count = int(sum(bool(r.inf_gains[l]) for r in results))
+        unbounded = np.isnan(gains)
+        finite = gains[~unbounded]
+        inf_count = int(unbounded.sum())
         if finite.size:
             glogs = np.log10(np.maximum(finite, LOG_FLOOR))
             gain_log_mean: float | None = float(10.0 ** np.mean(glogs))

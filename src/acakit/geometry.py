@@ -29,7 +29,6 @@ __all__ = [
     "generate_cloud",
     "is_admissible",
     "place_clouds",
-    "relaxed_distance",
     "true_distance",
 ]
 
@@ -116,9 +115,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def point(self, i: int) -> np.ndarray:
-        return self.points[i]
-
     @cached_property
     def aspect_ratio(self) -> float:
         """`bounding_aspect_ratio` of this cloud."""
@@ -140,17 +136,6 @@ def true_distance(x: PointCloud, y: PointCloud) -> float:
     nearest neighbour (O(n log m) expected); memory is O(n + m).
     """
     return float(cKDTree(y.points).query(x.points)[0].min())
-
-
-def relaxed_distance(x: PointCloud, y: PointCloud) -> float:
-    """Barycenter separation reduced by the smaller diameter estimate.
-
-    A cheap stand-in for the true cloud distance: never exceeds the
-    barycenter distance and needs no nearest-neighbour search.
-    """
-    return float(np.linalg.norm(x.barycenter - y.barycenter)) - min(
-        x.diameter, y.diameter
-    )
 
 
 def is_admissible(

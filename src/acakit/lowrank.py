@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -74,15 +74,6 @@ class PivotRecord:
     pivot_value: float
     selector: str
 
-    def as_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "i": self.i,
-            "j": self.j,
-            "pivot_value": self.pivot_value,
-            "selector": self.selector,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Skeleton:
@@ -91,14 +82,12 @@ class Skeleton:
     Column l of U is sign(p_l) * u~_l / sqrt(|p_l|) and column l of V is
     v~_l / sqrt(|p_l|), where u~_l, v~_l are the residual column/row of the
     l-th cross and p_l its pivot value.  Pivot rows and columns are
-    distinct by construction.
+    distinct by construction; pivot_rows, pivot_cols and pivot_values are
+    read from pivot_trace.
     """
 
     u_matrix: np.ndarray  # (n, k)
     v_matrix: np.ndarray  # (m, k)
-    pivot_rows: tuple[int, ...]
-    pivot_cols: tuple[int, ...]
-    pivot_values: np.ndarray  # (k,)
     approx_norm: float
     residual_norm: float
     pivot_trace: tuple[PivotRecord, ...] = ()
@@ -110,6 +99,19 @@ class Skeleton:
     @property
     def rank(self) -> int:
         return self.u_matrix.shape[1]
+
+    @property
+    def pivot_rows(self) -> tuple[int, ...]:
+        return tuple(r.i for r in self.pivot_trace)
+
+    @property
+    def pivot_cols(self) -> tuple[int, ...]:
+        return tuple(r.j for r in self.pivot_trace)
+
+    @property
+    def pivot_values(self) -> np.ndarray:
+        """A fresh (k,) float array of the pivot values."""
+        return np.array([r.pivot_value for r in self.pivot_trace], dtype=float)
 
 
 class NormUpdate(NamedTuple):
@@ -195,9 +197,6 @@ class _SkeletonBuilder:
         self._u = np.zeros((n, k_cap))
         self._v = np.zeros((m, k_cap))
         self.rank = 0
-        self.pivot_rows: list[int] = []
-        self.pivot_cols: list[int] = []
-        self.pivot_values: list[float] = []
         self.approx_norm = 0.0
         self.residual_norm = math.inf
         self.norm_clamped = False
@@ -248,9 +247,9 @@ class _SkeletonBuilder:
     def pivot_floor(self) -> float:
         """Pivot magnitudes at or below this value count as zero:
         PIVOT_FLOOR_REL times the first pivot, or 0 before it."""
-        if not self.pivot_values:
+        if not self.trace:
             return 0.0
-        return PIVOT_FLOOR_REL * abs(self.pivot_values[0])
+        return PIVOT_FLOOR_REL * abs(self.trace[0].pivot_value)
 
     def add_cross(
         self,
@@ -272,9 +271,6 @@ class _SkeletonBuilder:
         self.residual_norm = upd.residual_norm
         self.norm_clamped |= upd.clamped
         self.rank += 1
-        self.pivot_rows.append(int(i))
-        self.pivot_cols.append(int(j))
-        self.pivot_values.append(float(pivot))
         self.trace.append(
             PivotRecord(self.rank, int(i), int(j), float(pivot), selector)
         )
@@ -288,14 +284,9 @@ class _SkeletonBuilder:
         v = self._v[:, : self.rank].copy()
         u.setflags(write=False)
         v.setflags(write=False)
-        values = np.array(self.pivot_values)
-        values.setflags(write=False)
         return Skeleton(
             u_matrix=u,
             v_matrix=v,
-            pivot_rows=tuple(self.pivot_rows),
-            pivot_cols=tuple(self.pivot_cols),
-            pivot_values=values,
             approx_norm=self.approx_norm,
             residual_norm=self.residual_norm if self.rank else 0.0,
             pivot_trace=tuple(self.trace),
@@ -377,7 +368,7 @@ def skeleton_to_json(skeleton: Skeleton, meta: dict | None = None) -> str:
             "U": skeleton.u_matrix.T.tolist(),
             "V": skeleton.v_matrix.T.tolist(),
             "approx_norm": skeleton.approx_norm,
-            "pivot_trace": [rec.as_dict() for rec in skeleton.pivot_trace],
+            "pivot_trace": [asdict(rec) for rec in skeleton.pivot_trace],
         }
     )
     return json.dumps(payload)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acakit.acagp import (
     CircleHeuristics,
     GpOptions,
+    _walk_candidates,
     aca_gp,
     central_subset,
     default_epsilon_r,
@@ -17,6 +18,7 @@ from acakit.acagp import (
     select_rank3,
 )
 from acakit.geometry import (
+    Circle,
     PointCloud,
     _circle_distances,
     _cross2,
@@ -257,6 +259,84 @@ def test_select_rank2_grid_pivot_lands_near_circle():
         assert _circle_distances(y.points[[j2]], c2)[0] <= 2.0 * h
 
 
+def reference_walk_candidates(points, work, circle, probe):
+    """Reference for `_walk_candidates`: take the candidate nearest the
+    circle among those left, probe it, remove it, repeat."""
+    remaining = list(work)
+    best_j, best_abs, best_val = -1, -1.0, 0.0
+    prev_j, prev_abs, prev_val = -1, -1.0, 0.0
+    first = True
+    while remaining:
+        arr = np.asarray(remaining)
+        pos = int(np.argmin(_circle_distances(points[arr], circle)))
+        j = int(arr[pos])
+        val = float(probe(j))
+        if not first and abs(val) <= prev_abs:
+            return prev_j, prev_val
+        if abs(val) > best_abs:
+            best_j, best_abs, best_val = j, abs(val), val
+        prev_j, prev_abs, prev_val = j, abs(val), val
+        remaining.pop(pos)
+        first = False
+    return best_j, best_val
+
+
+def recording_probe(values):
+    """Probe returning values[k] on its k-th call, recording each index."""
+    calls = []
+
+    def probe(j):
+        calls.append(j)
+        return values[len(calls) - 1]
+
+    return probe, calls
+
+
+HALF_GRID = st.integers(-3, 3).map(lambda v: v / 2.0)
+ANY_VALUES = st.lists(
+    st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    | st.floats(-10.0, 10.0, allow_nan=False),
+    min_size=30, max_size=30,
+)
+# Non-decreasing magnitudes with random signs; zero steps make plateaus,
+# where the walk must stop.
+GROWING_VALUES = st.tuples(
+    st.lists(
+        st.sampled_from([0.0, 0.5]) | st.floats(0.01, 1.0), min_size=30, max_size=30
+    ),
+    st.lists(st.sampled_from([-1.0, 1.0]), min_size=30, max_size=30),
+).map(lambda t: [s * v for s, v in zip(t[1], np.cumsum(t[0]).tolist())])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), values=ANY_VALUES | GROWING_VALUES)
+def test_walk_candidates_matches_repeated_argmin(data, values):
+    """Points on a half-unit grid repeat and sit at equal distances from
+    the circle, so ties are common; the walk must break them in pool
+    order, probe the same candidates and return the same pivot."""
+    size = data.draw(st.integers(1, 30), label="pool size")
+    coords = data.draw(
+        st.lists(st.tuples(HALF_GRID, HALF_GRID), min_size=size, max_size=size + 5)
+    )
+    points = np.array(coords)
+    work = data.draw(st.permutations(range(len(coords))), label="order")[:size]
+    circle = Circle(
+        np.array(data.draw(st.tuples(HALF_GRID, HALF_GRID))),
+        data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.5])),
+    )
+    probe, calls = recording_probe(values)
+    ref_probe, ref_calls = recording_probe(values)
+    assert _walk_candidates(points, work, circle, probe) == reference_walk_candidates(
+        points, work, circle, ref_probe
+    )
+    assert calls == ref_calls
+
+
+def test_walk_candidates_empty_pool():
+    circle = Circle(np.zeros(2), 1.0)
+    assert _walk_candidates(np.zeros((3, 2)), [], circle, None) == (-1, 0.0)
+
+
 # --- rank-3 conjugate search ------------------------------------------------------
 
 def test_select_rank3_single_row_candidate():
@@ -308,7 +388,7 @@ def test_select_higher_single_pair():
     builder = _SkeletonBuilder(x, y, KernelHandle(), 1)
     i, j, pivot = select_higher(builder, [3], [7], np.random.default_rng(0))
     assert (i, j) == (3, 7)
-    assert pivot == KernelHandle().eval(x.point(3), y.point(7))
+    assert pivot == KernelHandle().eval(x.points[3], y.points[7])
 
 
 def test_select_higher_all_equal_takes_smallest_indices():
@@ -465,6 +545,17 @@ def test_acagp_swap_is_exact_transpose():
     ],
 )
 def test_acagp_swap_is_exact_transpose_more_shapes(n, m, circles):
+    assert_swap_is_exact_transpose(n, m, circles)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    circles=st.sampled_from(CircleHeuristics),
+)
+def test_acagp_swap_is_exact_transpose_random_shapes(n, m, circles):
+    assume(n != m)
     assert_swap_is_exact_transpose(n, m, circles)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -281,13 +282,13 @@ def test_pooled_csv_matches_serial(command, tmp_path, monkeypatch):
     monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
     assert acakit.experiments._worker_count(2, realizations, 3 if extra else 1) == 2
     pools = []
-    real = acakit.experiments._pinned_pool
 
-    def spy(workers):
-        pools.append(workers)
-        return real(workers)
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(acakit.experiments, "_pinned_pool", spy)
+    monkeypatch.setattr(acakit.experiments, "ProcessPoolExecutor", Spy)
     argv = [
         command, "--n", "30", "--m", "30", "--dist", "2.0", "--max-rank", "4",
         "--realizations", str(realizations), *extra,
@@ -303,8 +304,9 @@ def test_pooled_csv_matches_serial(command, tmp_path, monkeypatch):
 
 # Run as the main module, so every spawned worker imports it again and
 # gets the planted failure; the parent keeps the real function.
-FAILING_WORKER = """
+PLANTED_WORKER = """
 import multiprocessing
+import os
 import sys
 
 import acakit.experiments
@@ -314,7 +316,7 @@ real = acakit.experiments.run_realization
 
 def planted(config, index, classical=None):
     if multiprocessing.parent_process() is not None:
-        raise ValueError(f"planted failure in realization {index}")
+        FAILURE
     return real(config, index, classical)
 
 
@@ -328,19 +330,38 @@ if __name__ == "__main__":
 """
 
 
-def test_worker_value_error_exit_code(tmp_path):
-    script = tmp_path / "failing_worker.py"
-    script.write_text(FAILING_WORKER)
+def run_planted_worker(tmp_path, failure, timeout):
+    """Run a pooled benchmark whose spawned workers execute `failure`."""
+    script = tmp_path / "planted_worker.py"
+    script.write_text(PLANTED_WORKER.replace("FAILURE", failure))
     env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(script), "benchmark", "--n", "30", "--m", "30",
          "--max-rank", "4", "--realizations", "200", "--threads", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+def test_worker_value_error_exit_code(tmp_path):
+    proc = run_planted_worker(
+        tmp_path,
+        'raise ValueError(f"planted failure in realization {index}")',
+        timeout=120,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(error) == 1 and "planted failure" in error[0]
+
+
+def test_dead_worker_exit_code(tmp_path):
+    """A worker that exits mid-task (killed, out of memory) fails the run
+    instead of leaving the parent waiting for its chunk."""
+    proc = run_planted_worker(tmp_path, "os._exit(1)", timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1
 
 
 def test_benchmark_single_realization(capsys):

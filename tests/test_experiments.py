@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +45,6 @@ def fake_result(index, err, gain_value, inf=False):
         errors={m: np.array([err]) for m in METHODS},
         eval_counts={m: np.array([100]) for m in METHODS},
         gains=np.array([math.nan if inf else gain_value]),
-        inf_gains=np.array([inf]),
         central_row_count=0,
         central_col_count=0,
     )
@@ -296,7 +296,6 @@ def test_eps_sweep_matches_per_radius_benchmark(n, m):
                 shared.eval_counts[method], alone.eval_counts[method]
             )
         assert np.array_equal(shared.gains, alone.gains, equal_nan=True)
-        assert np.array_equal(shared.inf_gains, alone.inf_gains)
 
 
 def test_eps_sweep_computes_each_aspect_ratio_once(monkeypatch):
@@ -342,19 +341,22 @@ def test_worker_gate_rejects_fewer_than_one_thread(threads):
 
 def test_pooled_realizations_match_serial_and_restore_environ(monkeypatch):
     pools = []
-    real = acakit.experiments._pinned_pool
 
-    def spy(workers):
-        """Record the worker count and the thread variables a worker sees."""
-        pool = real(workers)
-        seen = [
-            pool.apply_async(os.getenv, (var,)).get(timeout=60)
-            for var in BLAS_THREAD_VARS
-        ]
-        pools.append((workers, seen))
-        return pool
+    class Spy(ProcessPoolExecutor):
+        """Record the worker count and, once every chunk is submitted and
+        so every worker started, the thread variables a worker sees."""
 
-    monkeypatch.setattr(acakit.experiments, "_pinned_pool", spy)
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            self.workers = max_workers
+
+        def shutdown(self, *args, **kwargs):
+            probes = [self.submit(os.getenv, var) for var in BLAS_THREAD_VARS]
+            seen = [probe.result(timeout=60) for probe in probes]
+            pools.append((self.workers, seen))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(acakit.experiments, "ProcessPoolExecutor", Spy)
     monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

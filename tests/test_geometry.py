@@ -19,7 +19,6 @@ from acakit.geometry import (
     generate_cloud,
     is_admissible,
     place_clouds,
-    relaxed_distance,
     true_distance,
 )
 
@@ -135,22 +134,6 @@ def test_true_distance_corner_squares():
     assert true_distance(corner_square(0.0), corner_square(3.0)) == pytest.approx(
         2.0, abs=1e-15
     )
-
-
-def test_relaxed_distance_corner_squares():
-    d = relaxed_distance(corner_square(0.0), corner_square(3.0))
-    assert d == pytest.approx(3.0 - SQRT2, abs=1e-12)
-
-
-def test_relaxed_distance_identical_clouds_nonpositive():
-    cloud = corner_square()
-    assert relaxed_distance(cloud, cloud) == pytest.approx(-SQRT2, abs=1e-12)
-
-
-def test_relaxed_distance_single_points():
-    x = PointCloud(np.array([[0.0, 0.0]]))
-    y = PointCloud(np.array([[5.0, 0.0]]))
-    assert relaxed_distance(x, y) == pytest.approx(5.0, abs=1e-15)
 
 
 def test_admissible_corner_squares():
@@ -316,13 +299,6 @@ def test_place_clouds_deterministic():
     assert np.array_equal(x1.points, x2.points)
     assert np.array_equal(y1.points, y2.points)
     assert t1 == t2
-
-
-def test_place_clouds_relaxed_below_true():
-    # The relaxed distance subtracts a full diameter, the true distance is
-    # realized by boundary points, so relaxed < true for extended clouds.
-    x, y, _ = place_clouds(1.0, 100, 100, 5.0, np.random.default_rng(4))
-    assert relaxed_distance(x, y) < true_distance(x, y)
 
 
 def brute_force_place_clouds(xi, n, m, target_dist, rng):

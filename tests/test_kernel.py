@@ -101,7 +101,7 @@ def test_eval_counter_arithmetic():
     x, y = small_pair(seed=1, n=9, m=7)
     k = KernelHandle()
     assert k.eval_count == 0
-    k.eval(x.point(0), y.point(0))
+    k.eval(x.points[0], y.points[0])
     assert k.eval_count == 1
     k.eval_row(x, y, 2)
     assert k.eval_count == 1 + 7

@@ -39,13 +39,9 @@ def run_to_rank(x, y, k_max, seed=0):
 
 
 def empty_skeleton(n, m):
-    values = np.array([])
     return Skeleton(
         u_matrix=np.zeros((n, 0)),
         v_matrix=np.zeros((m, 0)),
-        pivot_rows=(),
-        pivot_cols=(),
-        pivot_values=values,
         approx_norm=0.0,
         residual_norm=0.0,
         pivot_trace=(),
@@ -270,7 +266,7 @@ def test_residual_entry_rank_zero_is_kernel_value():
     x, y, _ = pair(15, n=6, m=6)
     kernel = KernelHandle()
     val = _SkeletonBuilder(x, y, kernel, 1).residual_probe(2, 3)
-    assert val == KernelHandle().eval(x.point(2), y.point(3))
+    assert val == KernelHandle().eval(x.points[2], y.points[3])
     assert kernel.eval_count == 1
 
 
