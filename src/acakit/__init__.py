@@ -59,9 +59,9 @@ from .lowrank import (
 )
 from .oracle import (
     GeneticSearchResult,
-    InfiniteGainError,
     gain,
     genetic_search,
+    rank_errors,
     relative_error,
     svd_rank_errors,
 )

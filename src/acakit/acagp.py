@@ -126,19 +126,18 @@ def central_subset(
     pivot_index: int,
     k_max: int,
     epsilon_r: float,
-    delta: int = CENTRAL_MARGIN,
 ) -> tuple[np.ndarray, float]:
     """Indices within epsilon_r * diameter of the pivot point.
 
     The radius fraction is grown by factors of 1.1 until the subset holds
-    at least k_max + delta points (or the whole cloud).  The pivot point
-    itself is always included, so for k_max <= len(cloud) and delta >= 0
-    the subset holds at least k_max points.  Returns the index array in
+    at least k_max + CENTRAL_MARGIN points (or the whole cloud).  The
+    pivot point itself is always included, so for k_max <= len(cloud) the
+    subset holds at least k_max points.  Returns the index array in
     ascending order together with the final fraction.
     """
     if epsilon_r <= 0.0:
         raise ValueError("epsilon_r must be positive")
-    required = min(len(cloud), k_max + delta)
+    required = min(len(cloud), k_max + CENTRAL_MARGIN)
     dist = np.linalg.norm(cloud.points - cloud.points[pivot_index], axis=1)
     eps = epsilon_r
     idx = np.flatnonzero(dist <= eps * cloud.diameter)

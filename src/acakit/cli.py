@@ -22,7 +22,6 @@ from .acagp import CircleHeuristics, GpOptions, aca_gp, default_epsilon_r
 from .experiments import (
     ExperimentConfig,
     _fmt,
-    _per_rank_errors,
     render_benchmark_csv,
     render_sweep_csv,
     run_benchmark,
@@ -42,7 +41,7 @@ from .lowrank import (
     default_max_rank,
     skeleton_to_json,
 )
-from .oracle import genetic_search, svd_rank_errors
+from .oracle import genetic_search, rank_errors, svd_rank_errors
 
 __all__ = ["main"]
 
@@ -224,7 +223,7 @@ def _cmd_genetic(args) -> int:
         x, y, kern_aca, StoppingParams(epsilon=1e-30, k_max=args.max_rank), rng
     )
     k_found = len(result.ranks)
-    e_aca = _per_rank_errors(a, skeleton, k_found)
+    e_aca = rank_errors(a, skeleton, k_found)
     e_svd = svd_rank_errors(a, k_found)
     lines = [
         f"# acakit {__version__}",

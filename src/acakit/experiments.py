@@ -23,7 +23,7 @@ from .acagp import GpOptions, aca_gp, epsilon_r_rule
 from .geometry import PointCloud, place_clouds
 from .kernel import KernelHandle
 from .lowrank import Skeleton, StoppingParams, aca
-from .oracle import InfiniteGainError, gain, svd_rank_errors
+from .oracle import gain, rank_errors, svd_rank_errors
 
 __all__ = [
     "ExperimentConfig",
@@ -141,21 +141,6 @@ class SweepPoint:
     inf_gain_count: int
 
 
-def _per_rank_errors(a: np.ndarray, skeleton: Skeleton, k_max: int) -> np.ndarray:
-    """True relative error after each of the first k_max crosses.
-
-    Ranks beyond the skeleton's keep the final error (early termination).
-    """
-    fro = float(np.linalg.norm(a))
-    residual = a.copy()
-    out = np.empty(k_max)
-    for l in range(k_max):
-        if l < skeleton.rank:
-            residual -= np.outer(skeleton.u_matrix[:, l], skeleton.v_matrix[:, l])
-        out[l] = float(np.linalg.norm(residual)) / fro
-    return out
-
-
 def _per_rank_counts(skeleton: Skeleton, k_max: int) -> np.ndarray:
     counts = list(skeleton.rank_eval_counts[:k_max])
     pad = counts[-1] if counts else 0
@@ -200,7 +185,7 @@ def _classical(config: ExperimentConfig, index: int) -> _Classical:
         y=y,
         theta=theta,
         a=a,
-        aca_errors=_per_rank_errors(a, skel_aca, stop.k_max),
+        aca_errors=rank_errors(a, skel_aca, stop.k_max),
         aca_counts=_per_rank_counts(skel_aca, stop.k_max),
         svd_errors=svd_rank_errors(a, stop.k_max),
         rng_state=rng.bit_generator.state,
@@ -228,29 +213,22 @@ def run_realization(
     skel_gp = aca_gp(
         x, y, KernelHandle(), stop, GpOptions(epsilon_r=config.epsilon_r), rng=rng
     )
-    e_svd = classical.svd_errors
     errors = {
         "aca": classical.aca_errors,
-        "acagp": _per_rank_errors(a, skel_gp, k_max),
-        "svd": e_svd,
+        "acagp": rank_errors(a, skel_gp, k_max),
+        "svd": classical.svd_errors,
     }
     eval_counts = {
         "aca": classical.aca_counts,
         "acagp": _per_rank_counts(skel_gp, k_max),
         "svd": np.full(k_max, len(x) * len(y), dtype=np.int64),
     }
-    gains = np.empty(k_max)
-    for l in range(k_max):
-        try:
-            gains[l] = gain(errors["aca"][l], errors["acagp"][l], e_svd[l])
-        except InfiniteGainError:
-            gains[l] = np.nan
     return RealizationResult(
         index=index,
         theta=classical.theta,
         errors=errors,
         eval_counts=eval_counts,
-        gains=gains,
+        gains=gain(errors["aca"], errors["acagp"], errors["svd"]),
         central_row_count=skel_gp.central_row_count,
         central_col_count=skel_gp.central_col_count,
     )

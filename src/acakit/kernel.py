@@ -48,63 +48,44 @@ class KernelHandle:
     def eval_count(self) -> int:
         return self._count
 
-    def _bump(self, k: int) -> None:
-        with self._lock:
-            self._count += k
-
-    @staticmethod
-    def _invert(dist: np.ndarray) -> np.ndarray:
+    def _counted(self, dist: np.ndarray) -> np.ndarray:
+        """Kernel values 1/dist, one counted evaluation per distance; a
+        singular distance raises before anything is counted."""
         if dist.min() < SINGULAR_DISTANCE:
             raise SingularEvaluationError("points closer than 1e-14")
+        with self._lock:
+            self._count += dist.size
         return 1.0 / dist
 
     def eval(self, x, y) -> float:
         """Single kernel value; one counted evaluation."""
-        d = float(np.linalg.norm(_as_xy(x) - _as_xy(y)))
-        if d < SINGULAR_DISTANCE:
-            raise SingularEvaluationError("points closer than 1e-14")
-        self._bump(1)
-        return 1.0 / d
+        return float(self._counted(np.linalg.norm(_as_xy(x) - _as_xy(y))))
 
     def eval_row(self, x: PointCloud, y: PointCloud, i: int) -> np.ndarray:
         """Row i of the interaction matrix: kappa(x_i, y_j) for all j."""
-        values = self._invert(np.linalg.norm(y.points - x.points[i], axis=1))
-        self._bump(len(y))
-        return values
+        return self._counted(np.linalg.norm(y.points - x.points[i], axis=1))
 
     def eval_col(self, x: PointCloud, y: PointCloud, j: int) -> np.ndarray:
         """Column j of the interaction matrix: kappa(x_i, y_j) for all i."""
-        values = self._invert(np.linalg.norm(x.points - y.points[j], axis=1))
-        self._bump(len(x))
-        return values
+        return self._counted(np.linalg.norm(x.points - y.points[j], axis=1))
 
     def eval_row_subset(
         self, x: PointCloud, y: PointCloud, i: int, cols: np.ndarray
     ) -> np.ndarray:
         """kappa(x_i, y_j) for j in cols only."""
-        values = self._invert(
-            np.linalg.norm(y.points[cols] - x.points[i], axis=1)
-        )
-        self._bump(len(values))
-        return values
+        return self._counted(np.linalg.norm(y.points[cols] - x.points[i], axis=1))
 
     def eval_col_subset(
         self, x: PointCloud, y: PointCloud, j: int, rows: np.ndarray
     ) -> np.ndarray:
         """kappa(x_i, y_j) for i in rows only."""
-        values = self._invert(
-            np.linalg.norm(x.points[rows] - y.points[j], axis=1)
-        )
-        self._bump(len(values))
-        return values
+        return self._counted(np.linalg.norm(x.points[rows] - y.points[j], axis=1))
 
-    def assemble_dense(
-        self, x: PointCloud, y: PointCloud, cap: int = DEFAULT_DENSE_CAP
-    ) -> np.ndarray:
-        """Full n x m matrix; refuses to build more than `cap` entries."""
+    def assemble_dense(self, x: PointCloud, y: PointCloud) -> np.ndarray:
+        """Full n x m matrix; refuses more than DEFAULT_DENSE_CAP entries."""
         n, m = len(x), len(y)
-        if n * m > cap:
-            raise DenseCapExceededError(f"{n}x{m} exceeds cap of {cap} entries")
-        values = self._invert(cdist(x.points, y.points))
-        self._bump(n * m)
-        return values
+        if n * m > DEFAULT_DENSE_CAP:
+            raise DenseCapExceededError(
+                f"{n}x{m} exceeds cap of {DEFAULT_DENSE_CAP} entries"
+            )
+        return self._counted(cdist(x.points, y.points))

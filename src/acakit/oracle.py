@@ -1,8 +1,9 @@
 """Reference error measures for cross approximations.
 
-Three oracles: truncated-SVD errors (the Frobenius-optimal baseline for
-any rank), exhaustive greedy pivot search on small dense matrices (the
-best any cross method could do one rank at a time), and the gain of one
+Four oracles: the true error curve of a skeleton against the dense
+matrix, truncated-SVD errors (the Frobenius-optimal baseline for any
+rank), exhaustive greedy pivot search on small dense matrices (the best
+any cross method could do one rank at a time), and the gain of one
 method over another relative to the SVD baseline.
 """
 from __future__ import annotations
@@ -18,19 +19,15 @@ from .lowrank import Skeleton, dense
 __all__ = [
     "GeneticRankResult",
     "GeneticSearchResult",
-    "InfiniteGainError",
     "gain",
     "genetic_search",
+    "rank_errors",
     "relative_error",
     "svd_rank_errors",
 ]
 
-GENETIC_CAP_DEFAULT = 64
+GENETIC_CAP = 64
 SVD_FLOOR = 1e-14
-
-
-class InfiniteGainError(ArithmeticError):
-    """Reference method already sits at the SVD floor; gain is unbounded."""
 
 
 def svd_rank_errors(a: np.ndarray, k_max: int) -> np.ndarray:
@@ -54,15 +51,36 @@ def relative_error(a: np.ndarray, skeleton: Skeleton) -> float:
     return float(np.linalg.norm(a - dense(skeleton)) / np.linalg.norm(a))
 
 
-def gain(e_aca: float, e_acagp: float, e_svd: float) -> float:
-    """How much closer one method sits to the SVD baseline than another:
+def rank_errors(a: np.ndarray, skeleton: Skeleton, k_max: int) -> np.ndarray:
+    """True relative error after each of the first k_max crosses.
+
+    Ranks beyond the skeleton's keep the final error (early termination).
+    """
+    fro = float(np.linalg.norm(a))
+    residual = a.copy()
+    out = np.empty(k_max)
+    for l in range(k_max):
+        if l < skeleton.rank:
+            residual -= np.outer(skeleton.u_matrix[:, l], skeleton.v_matrix[:, l])
+        out[l] = float(np.linalg.norm(residual)) / fro
+    return out
+
+
+def gain(e_aca: np.ndarray, e_acagp: np.ndarray, e_svd: np.ndarray) -> np.ndarray:
+    """How much closer one method sits to the SVD baseline than another,
+    rank by rank:
 
         (e_aca - e_svd) / (e_acagp - e_svd).
+
+    The gain is unbounded, and NaN, wherever e_acagp - e_svd <= SVD_FLOOR.
     """
     excess = e_acagp - e_svd
-    if excess <= SVD_FLOOR:
-        raise InfiniteGainError("method error at the SVD baseline")
-    return (e_aca - e_svd) / excess
+    return np.divide(
+        e_aca - e_svd,
+        excess,
+        out=np.full(np.shape(excess), np.nan),
+        where=excess > SVD_FLOOR,
+    )
 
 
 @dataclass(frozen=True)
@@ -88,7 +106,6 @@ class GeneticSearchResult:
 def genetic_search(
     a: np.ndarray,
     k_max: int,
-    cap: int = GENETIC_CAP_DEFAULT,
     return_grids: bool = False,
 ) -> GeneticSearchResult:
     """Greedy exhaustive pivot minimization on a small dense matrix.
@@ -105,8 +122,8 @@ def genetic_search(
     """
     a = np.asarray(a, dtype=float)
     n, m = a.shape
-    if n > cap or m > cap:
-        raise DenseCapExceededError(f"{n}x{m} exceeds genetic cap of {cap}")
+    if n > GENETIC_CAP or m > GENETIC_CAP:
+        raise DenseCapExceededError(f"{n}x{m} exceeds genetic cap of {GENETIC_CAP}")
     fro = float(np.linalg.norm(a))
     if fro == 0.0:
         raise ValueError("zero matrix has no relative error")

@@ -129,7 +129,7 @@ def test_central_subset_full_fraction_is_whole_cloud():
 
 def test_central_subset_grows_to_whole_cloud():
     x, _, _ = pair(1, n=12, m=10)
-    idx, eps = central_subset(x, 3, 4, 0.05, delta=8)  # k_max + delta = n
+    idx, eps = central_subset(x, 3, 4, 0.05)  # k_max + CENTRAL_MARGIN = n
     assert np.array_equal(idx, np.arange(12))
     assert eps > 0.05
 
@@ -137,11 +137,11 @@ def test_central_subset_grows_to_whole_cloud():
 def test_central_subset_matches_direct_filter():
     """Seeded 400-point cloud, pivot near the center, fraction 0.25: the
     subset equals a direct distance filter, holds well over the k_max +
-    delta floor (expected count ~150), and needs no growth."""
+    CENTRAL_MARGIN floor (expected count ~150), and needs no growth."""
     rng = np.random.default_rng(42)
     cloud = PointCloud(rng.uniform(-0.5, 0.5, size=(400, 2)))
     piv = int(np.argmin(np.linalg.norm(cloud.points - cloud.barycenter, axis=1)))
-    idx, eps = central_subset(cloud, piv, 10, 0.25, delta=8)
+    idx, eps = central_subset(cloud, piv, 10, 0.25)
     assert eps == 0.25
     dist = np.linalg.norm(cloud.points - cloud.points[piv], axis=1)
     np.testing.assert_array_equal(idx, np.flatnonzero(dist <= 0.25 * cloud.diameter))
@@ -557,6 +557,26 @@ def test_acagp_swap_is_exact_transpose_more_shapes(n, m, circles):
 def test_acagp_swap_is_exact_transpose_random_shapes(n, m, circles):
     assume(n != m)
     assert_swap_is_exact_transpose(n, m, circles)
+
+
+@pytest.mark.parametrize("n, m", [(30, 50), (50, 30)])
+def test_acagp_pivot_sign_sits_on_v(n, m):
+    """The Skeleton convention in both orientations: U is positive at each
+    pivot row and V carries the pivot sign at each pivot column.  For
+    n < m the skeleton is transposed back from the swapped run, so the
+    sign must move across the factors."""
+    x, y, _ = place_clouds(1.0, n, m, 2.0, np.random.default_rng(0))
+    stop = StoppingParams(epsilon=1e-30, k_max=8)
+    skel = aca_gp(
+        x, y, KernelHandle(), stop, GpOptions(epsilon_r=0.4),
+        rng=np.random.default_rng(0),
+    )
+    p = skel.pivot_values
+    assert skel.rank == 8
+    assert (p < 0).any()
+    for l, (i, j) in enumerate(zip(skel.pivot_rows, skel.pivot_cols)):
+        assert skel.u_matrix[i, l] > 0.0
+        assert np.sign(skel.v_matrix[j, l]) == np.sign(p[l])
 
 
 def property_cloud(kind, size, rng, shift):

@@ -18,7 +18,6 @@ from acakit.experiments import (
     RealizationResult,
     SweepPoint,
     _classical,
-    _per_rank_errors,
     _worker_count,
     aggregate,
     config_echo,
@@ -33,6 +32,7 @@ from acakit.experiments import (
 from acakit.geometry import place_clouds
 from acakit.kernel import KernelHandle
 from acakit.lowrank import StoppingParams, aca
+from acakit.oracle import rank_errors
 
 SMALL = dict(n=40, m=40, target_dist=2.0, k_max=4, epsilon_r=0.5)
 
@@ -258,7 +258,7 @@ def single_stream_acagp_errors(cfg, index):
     aca(x, y, KernelHandle(), stop, rng)
     opts = GpOptions(epsilon_r=cfg.epsilon_r)
     skel = aca_gp(x, y, KernelHandle(), stop, opts, rng=rng)
-    return _per_rank_errors(KernelHandle().assemble_dense(x, y), skel, cfg.k_max)
+    return rank_errors(KernelHandle().assemble_dense(x, y), skel, cfg.k_max)
 
 
 @pytest.mark.parametrize("n, m", [(40, 40), (30, 45)])

@@ -5,6 +5,7 @@ import pytest
 
 from acakit.geometry import PointCloud, generate_cloud, place_clouds
 from acakit.kernel import (
+    DEFAULT_DENSE_CAP,
     DenseCapExceededError,
     KernelHandle,
     SingularEvaluationError,
@@ -80,9 +81,16 @@ def test_assemble_dense_corner_squares_entry():
 
 
 def test_dense_cap_enforced():
-    x, y = small_pair()
+    """2001 x 2000 entries is just over DEFAULT_DENSE_CAP.  Every point
+    coincides, so only a cap check made before any distance is computed
+    raises DenseCapExceededError rather than SingularEvaluationError."""
+    x = PointCloud(np.zeros((2001, 2)))
+    y = PointCloud(np.zeros((2000, 2)))
+    assert len(x) * len(y) > DEFAULT_DENSE_CAP >= (len(x) - 1) * len(y)
+    k = KernelHandle()
     with pytest.raises(DenseCapExceededError):
-        KernelHandle().assemble_dense(x, y, cap=len(x) * len(y) - 1)
+        k.assemble_dense(x, y)
+    assert k.eval_count == 0
 
 
 def test_singular_pairs_rejected_in_bulk_paths():
@@ -93,6 +101,33 @@ def test_singular_pairs_rejected_in_bulk_paths():
         k.eval_row(x, y, 0)
     with pytest.raises(SingularEvaluationError):
         k.assemble_dense(x, y)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k, x, y: k.eval(x.points[0], y.points[0]),
+        lambda k, x, y: k.eval_row(x, y, 0),
+        lambda k, x, y: k.eval_col(x, y, 0),
+        lambda k, x, y: k.eval_row_subset(x, y, 0, np.array([1, 0])),
+        lambda k, x, y: k.eval_col_subset(x, y, 0, np.array([1, 0])),
+        lambda k, x, y: k.assemble_dense(x, y),
+    ],
+    ids=[
+        "eval", "eval_row", "eval_col", "eval_row_subset", "eval_col_subset",
+        "assemble_dense",
+    ],
+)
+def test_singular_pair_raises_and_counts_nothing(call):
+    """x_0 and y_0 coincide: every entry point that touches the pair
+    raises and leaves the counter where it was."""
+    x = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    y = PointCloud(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    k = KernelHandle()
+    k.eval_row(x, y, 1)
+    with pytest.raises(SingularEvaluationError):
+        call(k, x, y)
+    assert k.eval_count == 2
 
 
 def test_eval_counter_arithmetic():

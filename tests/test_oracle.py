@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acakit.geometry import place_clouds
 from acakit.kernel import DenseCapExceededError, KernelHandle
 from acakit.lowrank import StoppingParams, aca, dense
 from acakit.oracle import (
-    InfiniteGainError,
+    SVD_FLOOR,
     gain,
     genetic_search,
     relative_error,
@@ -74,8 +76,46 @@ def test_relative_error_dominated_by_svd():
 def test_gain_examples():
     assert gain(2e-3, 1.5e-3, 1e-3) == pytest.approx(2.0, abs=1e-12)
     assert gain(2e-3, 2e-3, 1e-3) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InfiniteGainError):
-        gain(2e-3, 1e-3, 1e-3)
+    assert np.isnan(gain(2e-3, 1e-3, 1e-3))
+
+
+class InfiniteGainError(ArithmeticError):
+    """Reference method already sits at the SVD floor; gain is unbounded."""
+
+
+def scalar_gain(e_aca: float, e_acagp: float, e_svd: float) -> float:
+    """Gain at one rank, raising where it is unbounded: the reference
+    for the curve version."""
+    excess = e_acagp - e_svd
+    if excess <= SVD_FLOOR:
+        raise InfiniteGainError("method error at the SVD baseline")
+    return (e_aca - e_svd) / excess
+
+
+@st.composite
+def error_triples(draw):
+    """(e_aca, e_acagp, e_svd), with e_acagp often at or just above the
+    SVD floor; e_svd = 0 and e_acagp = SVD_FLOOR give an excess of exactly
+    SVD_FLOOR."""
+    unit = st.floats(0.0, 1.0)
+    e_svd = draw(st.sampled_from([0.0, 0.5]) | unit)
+    near = [e_svd, SVD_FLOOR, e_svd + SVD_FLOOR, e_svd + 2 * SVD_FLOOR]
+    e_acagp = draw(st.sampled_from(near) | unit)
+    return draw(unit), e_acagp, e_svd
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(error_triples(), min_size=1, max_size=12))
+@example([(0.3, SVD_FLOOR, 0.0), (0.3, 2 * SVD_FLOOR, 0.0), (0.3, 0.1, 0.0)])
+def test_gain_curve_matches_scalar_reference(triples):
+    e_aca, e_acagp, e_svd = (np.array(c) for c in zip(*triples))
+    want = np.empty(len(triples))
+    for l in range(len(triples)):
+        try:
+            want[l] = scalar_gain(e_aca[l], e_acagp[l], e_svd[l])
+        except InfiniteGainError:
+            want[l] = np.nan
+    assert gain(e_aca, e_acagp, e_svd).tobytes() == want.tobytes()
 
 
 # --- exhaustive pivot search -------------------------------------------------------
