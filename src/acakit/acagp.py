@@ -30,8 +30,8 @@ from .lowrank import (
     PivotsExhaustedError,
     Skeleton,
     StoppingParams,
-    _resolve_k_max,
     _SkeletonBuilder,
+    resolve_k_max,
 )
 
 __all__ = [
@@ -293,13 +293,14 @@ def aca_gp(
 ) -> Skeleton:
     """Cross approximation with geometry-aided pivots.
 
-    Rank 1 uses the mutually facing nearest points; ranks 2 and 3 use the
-    circle searches when enabled, and all remaining ranks use trial-row
-    magnitude selection restricted to the central subsets.  When the
-    column cloud is larger than the row cloud the problem is solved on the
-    swapped pair and the skeleton transposed back, so for n != m
-    aca_gp(y, x) is the exact transpose of aca_gp(x, y).  For n = m the row
-    cloud is always X, and the swapped call may pick other pivots.
+    Rank 1 uses the mutually facing nearest points; rank 2 uses the circle
+    search when enabled, rank 3 the conjugate circles only when rank 2 found
+    its circle, and all remaining ranks use trial-row magnitude selection
+    restricted to the central subsets.  When the column cloud is larger
+    than the row cloud the problem is solved on the swapped pair and the
+    skeleton transposed back, so for n != m aca_gp(y, x) is the exact
+    transpose of aca_gp(x, y).  For n = m the row cloud is always X, and
+    the swapped call may pick other pivots.
 
     A selected pivot at or below the pivot floor (PIVOT_FLOOR_REL times the
     first pivot) ends the run with the rank reached so far; classical `aca`
@@ -315,7 +316,7 @@ def aca_gp(
         )
     opts = opts or GpOptions()
     n, m = len(x), len(y)
-    k_max = _resolve_k_max(stop, n, m)
+    k_max = resolve_k_max(stop.k_max, n, m)
     eps_r = (
         opts.epsilon_r
         if opts.epsilon_r is not None
@@ -353,24 +354,10 @@ def aca_gp(
                 selection = (i_k, j_k, pivot)
                 selector = "circle2"
             except DegenerateGeometryError:
-                selection = None
-        elif r_next == 3 and use_circles:
-            if c2 is None and opts.use_circle_heuristics is CircleHeuristics.ON:
-                # Rank 2 came from the fallback; rebuild its circle from
-                # the pivots actually taken.
-                try:
-                    c2 = circumcircle(
-                        x.points[i1], y.points[j1],
-                        x.points[builder.trace[1].i],
-                    )
-                except DegenerateGeometryError:
-                    c2 = None
-            if c2 is not None:
-                i_k, j_k, pivot = select_rank3(
-                    builder, i1, j1, c2, ic_work, jc_work
-                )
-                selection = (i_k, j_k, pivot)
-                selector = "circle3"
+                pass  # collinear trial row: magnitude fallback below
+        elif r_next == 3 and c2 is not None:
+            selection = select_rank3(builder, i1, j1, c2, ic_work, jc_work)
+            selector = "circle3"
         if selection is None:
             selection = select_higher(builder, ic_work, jc_work, rng)
         i_k, j_k, pivot = selection

@@ -20,6 +20,7 @@ import numpy as np
 from ._version import __version__
 from .acagp import CircleHeuristics, GpOptions, aca_gp, default_epsilon_r
 from .experiments import (
+    RUN_TO_RANK_EPSILON,
     ExperimentConfig,
     _fmt,
     render_benchmark_csv,
@@ -38,7 +39,7 @@ from .lowrank import (
     StoppingParams,
     aca,
     compression_ratio,
-    default_max_rank,
+    resolve_k_max,
     skeleton_to_json,
 )
 from .oracle import genetic_search, rank_errors, svd_rank_errors
@@ -124,8 +125,7 @@ def _cmd_approximate(args) -> int:
             return 3
         print("warning: clouds fail the admissibility test", file=sys.stderr)
     n, m = len(x), len(y)
-    k_max = args.max_rank if args.max_rank is not None else default_max_rank(n, m)
-    k_max = min(k_max, n, m)
+    k_max = resolve_k_max(args.max_rank, n, m)
     central = (
         args.central
         if args.central is not None
@@ -219,9 +219,8 @@ def _cmd_genetic(args) -> int:
     a = kernel.assemble_dense(x, y)
     result = genetic_search(a, args.max_rank, return_grids=args.grid_out is not None)
     kern_aca = KernelHandle()
-    skeleton = aca(
-        x, y, kern_aca, StoppingParams(epsilon=1e-30, k_max=args.max_rank), rng
-    )
+    stop = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=args.max_rank)
+    skeleton = aca(x, y, kern_aca, stop, rng)
     k_found = len(result.ranks)
     e_aca = rank_errors(a, skeleton, k_found)
     e_svd = svd_rank_errors(a, k_found)

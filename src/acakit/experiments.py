@@ -22,7 +22,7 @@ from ._version import __version__
 from .acagp import GpOptions, aca_gp, epsilon_r_rule
 from .geometry import PointCloud, place_clouds
 from .kernel import KernelHandle
-from .lowrank import Skeleton, StoppingParams, aca
+from .lowrank import Skeleton, StoppingParams, aca, resolve_k_max
 from .oracle import gain, rank_errors, svd_rank_errors
 
 __all__ = [
@@ -167,7 +167,7 @@ class _Classical:
 
 
 def _stopping(config: ExperimentConfig) -> StoppingParams:
-    k_max = min(config.k_max, config.n, config.m)
+    k_max = resolve_k_max(config.k_max, config.n, config.m)
     return StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=k_max)
 
 

@@ -24,9 +24,9 @@ __all__ = [
     "StoppingParams",
     "aca",
     "compression_ratio",
-    "default_max_rank",
     "dense",
     "pivot_row_rule",
+    "resolve_k_max",
     "skeleton_to_json",
     "update_norms",
 ]
@@ -47,8 +47,8 @@ class StoppingParams:
         epsilon: relative residual tolerance; the run stops once the norm
             of the last added cross drops below epsilon times the
             approximant norm.
-        k_max: rank cap; defaults to half the smaller cloud size and is
-            always clamped to min(n, m).
+        k_max: rank cap; None defaults to half the smaller cloud size,
+            and every value is clamped to min(n, m) (see resolve_k_max).
 
     Pivots at or below PIVOT_FLOOR_REL times the first pivot magnitude
     count as zero (see `aca` and `aca_gp` for what each does then).
@@ -120,14 +120,12 @@ class NormUpdate(NamedTuple):
     clamped: bool
 
 
-def default_max_rank(n: int, m: int) -> int:
-    """Default rank cap: half the smaller cloud size, at least 1."""
-    return max(1, min(n, m) // 2)
-
-
-def _resolve_k_max(stop: StoppingParams, n: int, m: int) -> int:
-    k = stop.k_max if stop.k_max is not None else default_max_rank(n, m)
-    return min(k, n, m)
+def resolve_k_max(k_max: int | None, n: int, m: int) -> int:
+    """Rank cap of an n x m run: k_max, or half the smaller cloud size (at
+    least 1) when None, clamped to min(n, m)."""
+    if k_max is None:
+        k_max = max(1, min(n, m) // 2)
+    return min(k_max, n, m)
 
 
 def update_norms(
@@ -317,7 +315,7 @@ def aca(
     Returns the skeleton accumulated so far when rows or columns run out.
     """
     n, m = len(x), len(y)
-    k_max = _resolve_k_max(stop, n, m)
+    k_max = resolve_k_max(stop.k_max, n, m)
     builder = _SkeletonBuilder(x, y, kernel, k_max)
     used_rows = np.zeros(n, dtype=bool)
     used_cols = np.zeros(m, dtype=bool)

@@ -493,6 +493,28 @@ def test_acagp_auto_disables_circles_for_elongated_clouds():
     assert "circle2" not in selectors and "circle3" not in selectors
 
 
+@pytest.mark.parametrize("seed", [9, 14, 23])
+def test_acagp_rank3_needs_rank2_circle(seed):
+    """Rank 3's conjugate circles come only from a rank-2 circle, in every
+    mode.  Both clouds are 20 points on the x-axis plus 4 off it, so the
+    first pivots lie on the axis and an on-axis trial row makes the rank-2
+    circle degenerate; rank 2 then falls back, and so must rank 3, even
+    though a circle through the fallback's pivot would exist."""
+    rng = np.random.default_rng(seed)
+    pts = np.vstack(
+        [np.column_stack([rng.random(20), np.zeros(20)]), rng.random((4, 2))]
+    )
+    x, y = PointCloud(pts), PointCloud(pts + [3.0, 0.0])
+    skel = aca_gp(
+        x, y, KernelHandle(), StoppingParams(epsilon=1e-30, k_max=4),
+        GpOptions(epsilon_r=1.0, use_circle_heuristics=CircleHeuristics.ON),
+        rng=np.random.default_rng(seed),
+    )
+    selectors = [rec.selector for rec in skel.pivot_trace]
+    assert selectors[:3] == ["first", "central", "central"]
+    assert x.points[skel.pivot_rows[1], 1] != 0.0  # off the axis
+
+
 def test_acagp_pivots_are_distinct():
     x, y, _ = pair(15)
     skel = aca_gp(
@@ -621,6 +643,34 @@ def test_acagp_pivots_stay_in_central_subsets(n, m, data, eps_r, mode, kind, see
     if k > 1:
         assert skel.central_row_count == rows.size
         assert skel.central_col_count == cols.size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    data=st.data(),
+    dist=st.sampled_from([1.0, 1.5, 3.0, 10.0]),
+    eps_r=st.floats(0.05, 1.0),
+    mode=st.sampled_from(CircleHeuristics),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_drivers_cross_interpolate_random_clouds(n, m, data, dist, eps_r, mode, seed):
+    """Both drivers leave A - U V^T at most 1e-10 * max|a| on every pivot
+    row and column (3000 random runs of this kind reach ~4e-13)."""
+    k = data.draw(st.integers(1, min(n, m)), label="k_max")
+    x, y, rng = pair(seed, n=n, m=m, dist=dist)
+    a = KernelHandle().assemble_dense(x, y)
+    stop = StoppingParams(epsilon=1e-30, k_max=k)
+    opts = GpOptions(epsilon_r=eps_r, use_circle_heuristics=mode)
+    for skel in (
+        aca(x, y, KernelHandle(), stop, rng),
+        aca_gp(x, y, KernelHandle(), stop, opts, rng=rng),
+    ):
+        r = np.abs(a - dense(skel))
+        tol = 1e-10 * np.abs(a).max()
+        assert r[list(skel.pivot_rows)].max() <= tol
+        assert r[:, list(skel.pivot_cols)].max() <= tol
 
 
 def test_acagp_epsilon_stop():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acakit.geometry import PointCloud, place_clouds
 from acakit.kernel import KernelHandle
@@ -13,9 +15,9 @@ from acakit.lowrank import (
     _SkeletonBuilder,
     aca,
     compression_ratio,
-    default_max_rank,
     dense,
     pivot_row_rule,
+    resolve_k_max,
     skeleton_to_json,
     update_norms,
 )
@@ -65,9 +67,12 @@ def test_stopping_params_validation():
 
 
 def test_default_max_rank():
-    assert default_max_rank(200, 200) == 100
-    assert default_max_rank(9, 3) == 1
-    assert default_max_rank(1, 500) == 1
+    assert resolve_k_max(None, 200, 200) == 100
+    assert resolve_k_max(None, 9, 3) == 1
+    assert resolve_k_max(None, 1, 500) == 1
+    assert resolve_k_max(10, 200, 200) == 10
+    assert resolve_k_max(50, 3, 5) == 3
+    assert resolve_k_max(50, 40, 7) == 7
 
 
 # --- row rule ---------------------------------------------------------------
@@ -216,6 +221,29 @@ def test_aca_residual_vanishes_on_pivot_rows_and_cols():
         assert np.abs(r[i]).max() <= 1e-10 * scale
     for j in skel.pivot_cols:
         assert np.abs(r[:, j]).max() <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    data=st.data(),
+    dist=st.sampled_from([1.0, 1.5, 3.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aca_budget_random_clouds(n, m, data, dist, seed):
+    """Each rank costs one row and one column, n + m, plus m per row skipped
+    at the pivot floor.  A run that reaches k_max stops right after its last
+    cross; one that runs out of rows has evaluated every row once."""
+    k = data.draw(st.integers(1, min(n, m)), label="k_max")
+    x, y, _ = pair(seed, n=n, m=m, dist=dist)
+    skel, kernel = run_to_rank(x, y, k, seed=seed)
+    steps = np.diff((0,) + skel.rank_eval_counts) - (n + m)
+    assert np.all(steps >= 0) and np.all(steps % m == 0)
+    if skel.rank == k:
+        assert kernel.eval_count == skel.rank_eval_counts[-1]
+    else:
+        assert kernel.eval_count == n * m + skel.rank * n
 
 
 def test_aca_epsilon_stop():

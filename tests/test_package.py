@@ -2,7 +2,8 @@
 
 The benchmark's tracer resolves every name in each module's `__all__` with
 getattr, so a stale entry breaks every traced run; and an import left
-behind by a deletion is dead code.
+behind by a deletion is dead code.  The package root carries only
+`__version__`, so no second home for a public name can grow back.
 """
 import ast
 import importlib
@@ -48,3 +49,13 @@ def test_no_unused_imports(name):
         imp: line for imp, line in _imported_names(tree).items() if imp not in used
     }
     assert not unused, f"acakit.{name}: unused imports {unused}"
+
+
+def test_package_root_binds_only_version():
+    """Public names live in their modules; the root re-exports nothing."""
+    extra = {
+        attr for attr in vars(acakit)
+        if not attr.startswith("__") and attr not in MODULES
+    }
+    assert not extra, f"acakit binds {sorted(extra)} besides __version__"
+    assert acakit.__version__
