@@ -50,11 +50,13 @@ RUN_TO_RANK_EPSILON = 1e-30
 LOG_FLOOR = 1e-300
 
 # Fewest realization runs (realizations x grid values) that pay for one
-# worker process.  Starting two spawned workers takes about 0.6 s, most
-# of it importing numpy and scipy.  At n = m = 200, k = 10 on 2 CPUs, two
-# workers tie with one process on a 9-radius sweep of 198 runs (1.2 s)
-# and win at 450 (2.0-2.5 s -> 1.7 s) and on a 200-realization benchmark
-# (2.8 s -> 1.8-2.0 s).
+# worker process.  Starting two spawned workers, running a toy task and
+# shutting them down takes about 0.35 s, most of it importing numpy.  At
+# n = m = 200, k = 10 on 2 CPUs, two workers against one process take
+# 0.73 s against 0.90 s on a 9-radius sweep of 198 runs, 1.2 s against
+# 2.2 s at 450, and 1.3 s against 2.35 s on a 200-realization benchmark.
+# They win even at 100 realizations (0.88 s against 1.1 s); the gate
+# stays at 100 so that the pinned 100-realization benchmark runs serially.
 MIN_RUNS_PER_WORKER = 100
 
 # Set to "1" while a worker pool runs, so that each worker runs one BLAS thread.
@@ -141,10 +143,12 @@ class SweepPoint:
     inf_gain_count: int
 
 
-def _per_rank_counts(skeleton: Skeleton, k_max: int) -> np.ndarray:
+def _per_rank_counts(skeleton: Skeleton, total: int, k_max: int) -> np.ndarray:
+    """Evaluations spent up to each rank.  Ranks the skeleton never reached
+    take `total`, the run's whole count, which includes the rows a driver
+    evaluated and skipped after its last cross."""
     counts = list(skeleton.rank_eval_counts[:k_max])
-    pad = counts[-1] if counts else 0
-    counts += [pad] * (k_max - len(counts))
+    counts += [total] * (k_max - len(counts))
     return np.asarray(counts, dtype=np.int64)
 
 
@@ -178,7 +182,8 @@ def _classical(config: ExperimentConfig, index: int) -> _Classical:
         config.xi, config.n, config.m, config.target_dist, rng
     )
     stop = _stopping(config)
-    skel_aca = aca(x, y, KernelHandle(), stop, rng)
+    kernel = KernelHandle()
+    skel_aca = aca(x, y, kernel, stop, rng)
     a = KernelHandle().assemble_dense(x, y)
     return _Classical(
         x=x,
@@ -186,7 +191,7 @@ def _classical(config: ExperimentConfig, index: int) -> _Classical:
         theta=theta,
         a=a,
         aca_errors=rank_errors(a, skel_aca, stop.k_max),
-        aca_counts=_per_rank_counts(skel_aca, stop.k_max),
+        aca_counts=_per_rank_counts(skel_aca, kernel.eval_count, stop.k_max),
         svd_errors=svd_rank_errors(a, stop.k_max),
         rng_state=rng.bit_generator.state,
     )
@@ -210,8 +215,9 @@ def run_realization(
     k_max = stop.k_max
     rng = np.random.default_rng(config.base_seed + index)
     rng.bit_generator.state = classical.rng_state
+    kernel = KernelHandle()
     skel_gp = aca_gp(
-        x, y, KernelHandle(), stop, GpOptions(epsilon_r=config.epsilon_r), rng=rng
+        x, y, kernel, stop, GpOptions(epsilon_r=config.epsilon_r), rng=rng
     )
     errors = {
         "aca": classical.aca_errors,
@@ -220,7 +226,7 @@ def run_realization(
     }
     eval_counts = {
         "aca": classical.aca_counts,
-        "acagp": _per_rank_counts(skel_gp, k_max),
+        "acagp": _per_rank_counts(skel_gp, kernel.eval_count, k_max),
         "svd": np.full(k_max, len(x) * len(y), dtype=np.int64),
     }
     return RealizationResult(

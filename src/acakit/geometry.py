@@ -3,8 +3,9 @@ admissibility, circle constructions and randomized cloud placement.
 
 All clouds live in R^2 and are stored as (n, 2) float arrays.  Diameters are
 cheap linear estimates (twice the largest distance to the barycenter), never
-convex-hull computations.  Cloud-to-cloud distances come from a k-d tree on
-one cloud queried with the other, so no n x m array is ever allocated.
+convex-hull computations.  Cloud-to-cloud distances are exact minima over
+the pairs that a cheap upper bound leaves possible, scanned in blocks of at
+most GAP_BLOCK pairs, so no n x m array is ever allocated.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 __all__ = [
     "AdmissibilityParams",
@@ -129,13 +129,93 @@ class PointCloud:
         return PointCloud(pts + np.asarray(shift, dtype=float))
 
 
-def true_distance(x: PointCloud, y: PointCloud) -> float:
-    """Smallest pairwise distance between the two clouds.
+# Pairs per block in the exact scan of `_cloud_gap`.
+GAP_BLOCK = 1 << 16
+# Alternating nearest-point rounds behind `_cloud_gap`'s upper bound.
+GAP_ROUNDS = 3
 
-    Builds a k-d tree on Y (O(m log m)) and queries every point of X for its
-    nearest neighbour (O(n log m) expected); memory is O(n + m).
+
+def _squared_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(len(p), len(q)) array of |p_i - q_j|^2, summed as dx*dx + dy*dy.
+
+    That is the operation order of a dense Euclidean scan, so square roots
+    of these entries match it bit for bit.
     """
-    return float(cKDTree(y.points).query(x.points)[0].min())
+    dx = np.subtract.outer(p[:, 0], q[:, 0])
+    dy = np.subtract.outer(p[:, 1], q[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _nearest(xs: np.ndarray, ys: np.ndarray, a: float, b: float) -> tuple[int, float]:
+    """Index of the point (xs, ys) nearest to (a, b), and its squared
+    distance, summed as in `_squared_distances`.  Taking coordinate columns
+    and scalars saves a quarter of a small placement step's time over a
+    one-row `_squared_distances`."""
+    dx = xs - a
+    dy = ys - b
+    dx *= dx
+    dy *= dy
+    dx += dy
+    k = int(dx.argmin())
+    return k, float(dx[k])
+
+
+def _cloud_gap(
+    p: np.ndarray, q: np.ndarray, lower: float = 0.0, upper: float = math.inf
+) -> float:
+    """Distance of some pair of the point sets p (n, 2) and q (m, 2).
+
+    It is the smallest one, bitwise equal to the minimum of a dense scan,
+    whenever that minimum lies in [lower, upper]; otherwise it lies on the
+    same side of the interval as the minimum.
+
+    An upper bound u and a direction w come from GAP_ROUNDS rounds of
+    alternating nearest points, started at the point of p farthest toward
+    q's barycenter.  A pair closer than r = min(u, upper) is at most r
+    apart along w, so only the points of both sets whose projections onto
+    w lie in the overlap of the two sets' ranges, widened by r and a
+    rounding margin, are scanned, in blocks of GAP_BLOCK pairs.  The bound
+    costs O(n + m); the scan is small for separated clouds and O(nm) time
+    at worst, when the slabs take in both clouds, with memory bounded by
+    the block size.
+    """
+    toward = q.sum(axis=0) / len(q) - p.sum(axis=0) / len(p)
+    i = int(np.argmax(p @ toward))
+    px, py, qx, qy = p[:, 0], p[:, 1], q[:, 0], q[:, 1]
+    for _ in range(GAP_ROUNDS):
+        j, _ = _nearest(qx, qy, px[i], py[i])
+        i, best = _nearest(px, py, qx[j], qy[j])
+    u = math.sqrt(best)
+    if u < lower or u == 0.0:
+        return u
+    w = (q[j] - p[i]) / u
+    r = min(u, upper)
+    r += 1e-9 * (r + max(np.abs(p).max(), np.abs(q).max()))
+    along_p, along_q = p @ w, q @ w
+    lo = max(along_p.min(), along_q.min()) - r
+    hi = min(along_p.max(), along_q.max()) + r
+    p = p[(along_p >= lo) & (along_p <= hi)]
+    q = q[(along_q >= lo) & (along_q <= hi)]
+    if len(q):
+        rows = max(1, GAP_BLOCK // len(q))
+        for start in range(0, len(p), rows):
+            block = _squared_distances(p[start : start + rows], q)
+            best = min(best, float(block.min()))
+    return math.sqrt(best)
+
+
+def true_distance(x: PointCloud, y: PointCloud) -> float:
+    """Smallest pairwise distance between the two clouds, exact.
+
+    Costs O(n + m) plus a scan of the pairs in two slabs facing each other
+    (see `_cloud_gap`).  When the clouds interleave, the slabs hold both
+    clouds and the scan takes O(nm) time; memory stays O(n + m) plus one
+    block of GAP_BLOCK pairs.
+    """
+    return _cloud_gap(x.points, y.points)
 
 
 def is_admissible(
@@ -217,36 +297,71 @@ def _circle_distances(points: np.ndarray, c: Circle) -> np.ndarray:
     return np.abs(np.linalg.norm(points - c.center, axis=1) - c.radius)
 
 
+def _turn(a, b, c) -> float:
+    """Twice the signed area of the triangle a, b, c (> 0 counter-clockwise)."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _half_chain(points) -> list:
+    """One half of Andrew's monotone chain over x-sorted points."""
+    chain: list = []
+    for p in points:
+        while len(chain) >= 2 and _turn(chain[-2], chain[-1], p) <= 0.0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _hull(pts: np.ndarray) -> np.ndarray:
+    """Convex hull vertices of an (n, 2) array, counter-clockwise, without
+    collinear or repeated vertices (fewer than three when degenerate).
+
+    A point strictly inside the octagon of the eight directional extremes
+    (of x, y, x + y and x - y) is no vertex, so the monotone chain runs only
+    over the points outside it.  The test keeps every point within a
+    rounding margin of an octagon edge, and stays sound when ties repeat
+    or reorder the extremes.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    s, d = x + y, x - y
+    corners = pts[list(dict.fromkeys([
+        y.argmin(), d.argmax(), x.argmax(), s.argmax(),
+        y.argmax(), d.argmin(), x.argmin(), s.argmin(),
+    ]))]
+    if len(corners) >= 3:
+        edges = np.roll(corners, -1, axis=0) - corners
+        # (corners, n) cross products of each edge with the way to each point.
+        left = (edges[:, :1] * (y - corners[:, 1:])
+                - edges[:, 1:] * (x - corners[:, :1]))
+        margin = 1e-12 * float(np.abs(pts).max()) ** 2
+        pts = pts[~np.all(left > margin, axis=0)]
+    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    lower = _half_chain(ordered)
+    upper = _half_chain(reversed(ordered))
+    return np.array(lower[:-1] + upper[:-1])
+
+
 def bounding_aspect_ratio(cloud: PointCloud) -> float:
     """Aspect ratio (short side / long side) of the minimum-area oriented
     bounding rectangle of the cloud.
 
     1.0 means square-like, values near 0 mean elongated.  Degenerate
-    clouds (fewer than three points, or all collinear) return 0.0; a
-    single point returns 1.0.
+    clouds (fewer than three distinct points, or all collinear) return
+    0.0; a single point returns 1.0.  One side of the optimal rectangle
+    lies on a hull edge, so every edge is tried at once.
     """
-    pts = cloud.points
     if len(cloud) == 1:
         return 1.0
-    try:
-        hull = pts[ConvexHull(pts).vertices]
-    except QhullError:
+    hull = _hull(cloud.points)
+    if len(hull) < 3:
         return 0.0  # collinear: zero-width rectangle
-    edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
-    angles = np.arctan2(edges[:, 1], edges[:, 0])
-    best_area = math.inf
-    best_aspect = 0.0
-    for ang in angles:
-        c, s = math.cos(-ang), math.sin(-ang)
-        # The extremes of a linear map over the cloud lie on hull vertices.
-        rot = hull @ np.array([[c, -s], [s, c]]).T
-        w = rot[:, 0].max() - rot[:, 0].min()
-        h = rot[:, 1].max() - rot[:, 1].min()
-        area = w * h
-        if area < best_area:
-            best_area = area
-            best_aspect = min(w, h) / max(w, h) if max(w, h) > 0.0 else 0.0
-    return float(best_aspect)
+    hull -= hull.mean(axis=0)
+    edges = np.roll(hull, -1, axis=0) - hull
+    # Extents along and across each edge, both scaled by its length.
+    along = np.ptp(edges @ hull.T, axis=1)
+    across = np.ptp((edges[:, ::-1] * (-1.0, 1.0)) @ hull.T, axis=1)
+    k = int(np.argmin(along * across / np.einsum("ij,ij->i", edges, edges)))
+    return float(min(along[k], across[k]) / max(along[k], across[k]))
 
 
 # --- random clouds -----------------------------------------------------
@@ -278,9 +393,10 @@ def place_clouds(
     X (n points) is rotated by a uniform angle theta about its own
     barycenter and pushed along a random unit direction until the true
     cloud distance hits `target_dist`; the push length is found by
-    bisection (tolerance 1e-3, at most 60 halvings).  One k-d tree on Y is
-    built up front (O(m log m)) and each step queries the moved X against it
-    (O(n log m) expected), so placement memory is O(n + m).
+    bisection (tolerance 1e-3, at most 60 halvings).  Each step costs
+    O(n + m) plus a scan of the pairs in two slabs facing each other (see
+    `_cloud_gap`); only clouds that interleave make it O(nm) time.  Memory
+    stays O(n + m) plus one block of GAP_BLOCK pairs.
 
     Args:
         xi: rectangle aspect ratio a/b in (0, 1]; the rectangles are a x b
@@ -304,10 +420,13 @@ def place_clouds(
     phi = float(rng.uniform(-math.pi, math.pi))
     direction = np.array([math.cos(phi), math.sin(phi)])
 
-    tree = cKDTree(y.points)
-
+    # The bisection reads only whether a distance is within 1e-3 of the
+    # target and on which side, so outside target +- 2e-3 any pair distance
+    # on the right side serves (see `_cloud_gap`).
     def dist_at(t: float) -> float:
-        return float(tree.query(x0.points + t * direction)[0].min())
+        return _cloud_gap(
+            x0.points + t * direction, y.points, target_dist - 2e-3, target_dist + 2e-3
+        )
 
     lo = target_dist
     hi = target_dist + x0.diameter + y.diameter + 1.0

@@ -9,9 +9,8 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .geometry import PointCloud, _as_xy
+from .geometry import PointCloud, _as_xy, _squared_distances
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
@@ -88,4 +87,5 @@ class KernelHandle:
             raise DenseCapExceededError(
                 f"{n}x{m} exceeds cap of {DEFAULT_DENSE_CAP} entries"
             )
-        return self._counted(cdist(x.points, y.points))
+        dist = _squared_distances(x.points, y.points)
+        return self._counted(np.sqrt(dist, out=dist))

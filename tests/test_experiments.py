@@ -209,6 +209,28 @@ def test_run_realization_classical_budget_exact():
     assert r.eval_counts["svd"][0] == SMALL["n"] * SMALL["m"]
 
 
+def test_counts_past_last_cross_include_skipped_rows():
+    """When aca runs out of rows before k_max, the ranks it never reached
+    report every evaluation its handle counted, skipped rows included."""
+    cfg = ExperimentConfig(n=12, m=12, k_max=12, target_dist=10.0, realizations=20)
+    stop = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=12)
+    short = 0
+    for index in range(cfg.realizations):
+        rng = np.random.default_rng(cfg.base_seed + index)
+        x, y, _ = place_clouds(cfg.xi, cfg.n, cfg.m, cfg.target_dist, rng)
+        kernel = KernelHandle()
+        skel = aca(x, y, kernel, stop, rng)
+        counts = run_realization(cfg, index).eval_counts
+        short += skel.rank < stop.k_max
+        np.testing.assert_array_equal(
+            counts["aca"][: skel.rank], skel.rank_eval_counts
+        )
+        assert counts["aca"][-1] == kernel.eval_count
+        for method in ("aca", "acagp"):
+            assert np.all(np.diff(counts[method]) >= 0)
+    assert short > 0
+
+
 def test_benchmark_seed_stability():
     """Doubling the base seed moves every per-rank log-mean by less than
     3 sigma / sqrt(N_s)."""

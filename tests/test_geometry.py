@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import acakit.geometry
 from acakit.geometry import (
     AdmissibilityParams,
     Circle,
     DegenerateGeometryError,
     PointCloud,
     _circle_distances,
+    _hull,
     bounding_aspect_ratio,
     circumcircle,
     cloud_from_json,
@@ -259,6 +261,52 @@ def test_aspect_ratio_degenerate_clouds():
     assert bounding_aspect_ratio(collinear) == 0.0
 
 
+def test_aspect_ratio_degenerate_hulls():
+    """Fewer than three distinct or non-collinear points give 0.0."""
+    two = PointCloud(np.array([[0.0, 0.0], [1.0, 2.0]]))
+    duplicates = PointCloud(np.tile([0.3, -0.7], (6, 1)))
+    t = np.array([0.0, 0.5, 0.5, 2.0, 1.0, 2.0, 0.0])
+    collinear = PointCloud(np.column_stack([3.0 + t, 1.0 + 2.0 * t]))
+    for cloud in (two, duplicates, collinear):
+        assert len(_hull(cloud.points)) < 3
+        assert bounding_aspect_ratio(cloud) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_aspect_ratio_scale_invariant(scale):
+    for seed in range(10):
+        cloud = generate_cloud(0.5, 1.0, 200, np.random.default_rng(seed))
+        cloud = cloud.transformed(theta=float(seed))
+        scaled = PointCloud(scale * cloud.points)
+        assert bounding_aspect_ratio(scaled) == pytest.approx(
+            bounding_aspect_ratio(cloud), rel=1e-9
+        )
+
+
+@pytest.mark.parametrize("shape", ["square", "rotated", "thin", "normal"])
+def test_hull_vertices_match_qhull(shape):
+    """The same vertex set as Qhull, counter-clockwise.  Qhull's start
+    vertex is its own, so only sets are compared."""
+    spatial = pytest.importorskip("scipy.spatial")
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 2000))
+        if shape == "normal":
+            pts = rng.normal(size=(n, 2))
+        else:
+            width = {"square": 1.0, "rotated": 0.3, "thin": 1e-3}[shape]
+            cloud = generate_cloud(width, 1.0, n, rng)
+            if shape != "square":
+                cloud = cloud.transformed(theta=float(rng.uniform(-math.pi, math.pi)))
+            pts = cloud.points
+        hull = _hull(pts)
+        reference = pts[spatial.ConvexHull(pts).vertices]
+        assert set(map(tuple, hull.tolist())) == set(map(tuple, reference.tolist()))
+        edges = np.roll(hull, -1, axis=0) - hull
+        assert np.all(edges[:, 0] * np.roll(edges[:, 1], -1)
+                      - edges[:, 1] * np.roll(edges[:, 0], -1) > 0.0)
+
+
 # --- random clouds --------------------------------------------------------
 
 def test_generate_cloud_single_point_inside_rectangle():
@@ -366,6 +414,85 @@ def test_true_distance_matches_cdist_min():
     x = PointCloud(shared[:20])
     y = PointCloud(shared[15:])
     assert true_distance(x, y) == 0.0 == cdist(x.points, y.points).min()
+
+
+def test_true_distance_coincident_cross_point():
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1.0, 0.0, size=(40, 2))
+    y = np.vstack([rng.uniform(2.0, 3.0, size=(40, 2)), x[17]])
+    assert true_distance(PointCloud(x), PointCloud(y)) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_true_distance_extreme_scales_match_cdist(scale):
+    rng = np.random.default_rng(13)
+    for n, m in [(1, 30), (60, 80), (300, 200)]:
+        x = PointCloud(scale * rng.uniform(-1.0, 1.0, size=(n, 2)))
+        y = PointCloud(scale * rng.uniform(0.5, 3.0, size=(m, 2)))
+        assert true_distance(x, y) == cdist(x.points, y.points).min()
+
+
+def record_gap_queries(monkeypatch):
+    """Route `place_clouds`' distance queries through a recorder; returns
+    the list of (moved X points, Y points, result)."""
+    real = acakit.geometry._cloud_gap
+    queries = []
+
+    def recorded(p, q, lower, upper):
+        d = real(p, q, lower, upper)
+        queries.append((p, q, d))
+        return d
+
+    monkeypatch.setattr(acakit.geometry, "_cloud_gap", recorded)
+    return queries
+
+
+@pytest.mark.parametrize(
+    "xi,target", [(1.0, 1.5), (0.3, 2.5), (0.1, 1.5), (1.0, 0.5), (0.3, 0.5)]
+)
+def test_cloud_gap_makes_kd_tree_bisection_decisions(xi, target, monkeypatch):
+    """At n = 2000, where a dense reference is slow, every bisection step
+    reads the same decision from the gap as from a k-d tree query: within
+    1e-3 of the target or not, and on which side.  Target 0.5 starts from
+    overlapping clouds."""
+    spatial = pytest.importorskip("scipy.spatial")
+    queries = record_gap_queries(monkeypatch)
+    for seed in range(4):
+        place_clouds(xi, 2000, 2000, target, np.random.default_rng(seed))
+
+    def decision(d):
+        return abs(d - target) <= 1e-3, d < target
+
+    assert len(queries) >= 30
+    for p, q, d in queries:
+        exact = float(spatial.cKDTree(q).query(p)[0].min())
+        assert decision(d) == decision(exact)
+        assert d >= exact
+
+
+@pytest.mark.parametrize("xi", [0.3, 1.0])
+def test_cloud_gap_scans_few_pairs_from_overlapping_starts(xi, monkeypatch):
+    """Clouds that start overlapped (target 0.5) still scan under 1 % of
+    the n x m pairs per placement step at n = m = 10000."""
+    real = acakit.geometry._squared_distances
+    scanned = []
+
+    def counted(p, q):
+        scanned[-1] += len(p) * len(q)
+        return real(p, q)
+
+    real_gap = acakit.geometry._cloud_gap
+
+    def gap(*args):
+        scanned.append(0)
+        return real_gap(*args)
+
+    monkeypatch.setattr(acakit.geometry, "_squared_distances", counted)
+    monkeypatch.setattr(acakit.geometry, "_cloud_gap", gap)
+    for seed in range(3):
+        place_clouds(xi, 10_000, 10_000, 0.5, np.random.default_rng(seed))
+    assert len(scanned) >= 20
+    assert max(scanned) < 10_000 * 10_000 // 100
 
 
 def test_place_clouds_retries_from_zero_displacement():

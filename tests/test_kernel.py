@@ -165,3 +165,16 @@ def test_separate_handles_count_independently():
     k1.eval_row(x, y, 0)
     assert k1.eval_count == len(y)
     assert k2.eval_count == 0
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+def test_assemble_dense_matches_cdist_bitwise(scale):
+    """Dense assembly sums dx*dx + dy*dy like scipy's Euclidean cdist,
+    so the two agree bit for bit."""
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
+    rng = np.random.default_rng(int(np.log10(scale)) + 20)
+    for n, m in [(1, 1), (7, 300), (250, 180)]:
+        x = PointCloud(scale * rng.normal(size=(n, 2)))
+        y = PointCloud(scale * (rng.normal(size=(m, 2)) + (6.0, -2.0)))
+        dense = KernelHandle().assemble_dense(x, y)
+        assert np.array_equal(dense, 1.0 / cdist(x.points, y.points))

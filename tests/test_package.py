@@ -3,11 +3,16 @@
 The benchmark's tracer resolves every name in each module's `__all__` with
 getattr, so a stale entry breaks every traced run; and an import left
 behind by a deletion is dead code.  The package root carries only
-`__version__`, so no second home for a public name can grow back.
+`__version__`, so no second home for a public name can grow back.  The
+runtime depends on numpy only: importing the CLI must not load scipy, which
+tests keep as a reference.
 """
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +64,17 @@ def test_package_root_binds_only_version():
     }
     assert not extra, f"acakit binds {sorted(extra)} besides __version__"
     assert acakit.__version__
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only; scipy is a test-time reference."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = (
+        "import sys, acakit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
