@@ -14,6 +14,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,15 +52,18 @@ LOG_FLOOR = 1e-300
 
 # Fewest realization runs (realizations x grid values) that pay for one
 # worker process.  Starting two spawned workers, running a toy task and
-# shutting them down takes about 0.35 s, most of it importing numpy.  At
-# n = m = 200, k = 10 on 2 CPUs, two workers against one process take
-# 0.73 s against 0.90 s on a 9-radius sweep of 198 runs, 1.2 s against
-# 2.2 s at 450, and 1.3 s against 2.35 s on a 200-realization benchmark.
-# They win even at 100 realizations (0.88 s against 1.1 s); the gate
-# stays at 100 so that the pinned 100-realization benchmark runs serially.
+# shutting them down takes about 0.35 s, most of it importing numpy.  With
+# workers forked from the fork server (`_worker_context`) that is 0.16 to
+# 0.24 s for the run that starts the server, and 0.01 to 0.03 s for every
+# later run in the process.  At n = m = 200, k = 10 on 2 CPUs, two
+# spawned workers against one process take 0.73 s against 0.90 s on a
+# 9-radius sweep of 198 runs, 1.2 s against 2.2 s at 450, and 1.3 s
+# against 2.35 s on a 200-realization benchmark.  They win even at 100
+# realizations (0.88 s against 1.1 s); the gate stays at 100 so that the
+# pinned 100-realization benchmark runs serially.
 MIN_RUNS_PER_WORKER = 100
 
-# Set to "1" while a worker pool runs, so that each worker runs one BLAS thread.
+# Set to "1" while a worker pool starts, so that each worker runs one BLAS thread.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -274,18 +278,44 @@ def _worker_count(threads: int, realizations: int, grid_size: int = 1) -> int:
     )
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Set the BLAS thread variables to "1" for the with block, then
-    restore each (set or absent) exactly.
+def _worker_context() -> multiprocessing.context.BaseContext:
+    """The start method of pooled runs' workers: the fork server, where
+    the platform has one, else spawn.
 
-    A spawned worker takes the environment it starts with, and the
-    executor starts one in `submit` whenever none is idle, so the pool
-    runs inside this block.  A fork would inherit the parent's BLAS
-    threads.
+    The fork server starts with the first pooled run, imports this module
+    (numpy with it) once, and lives until the calling process exits.
+    Every later run forks its workers from it, so they start with numpy
+    loaded and leave without tearing an interpreter down.  The server runs
+    one thread (numpy with one BLAS thread, see `_worker_environ`), so
+    forking it is safe where forking the caller is not.  It is started
+    afresh if it has died.  The server is process-wide: one that other
+    code started first keeps its own environment and preloads.
     """
-    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__])
+    return context
+
+
+@contextlib.contextmanager
+def _worker_environ():
+    """Set the BLAS thread variables to "1" and put this package's
+    directory first on PYTHONPATH for the with block, then restore each
+    (set or absent) exactly.
+
+    The fork server, or a spawned worker, takes the environment it starts
+    with, and the executor starts workers in `submit`, so the pool runs
+    inside this block.  Numpy is then loaded with one BLAS thread in every
+    worker.  PYTHONPATH lets the fork server import this module: Python
+    3.11's server does not take the caller's sys.path.
+    """
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    saved = {var: os.environ.get(var) for var in (*BLAS_THREAD_VARS, "PYTHONPATH")}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([saved["PYTHONPATH"]] if saved["PYTHONPATH"] else [])
+    )
     try:
         yield
     finally:
@@ -301,7 +331,9 @@ def _run_grid(
 ) -> list[list[RealizationResult]]:
     """Results per config, each list in realization index order.
 
-    A worker that dies raises BrokenProcessPool (a RuntimeError) here.
+    A worker that dies raises BrokenProcessPool (a RuntimeError) here, as
+    does a fork server that dies while this run starts a worker; the next
+    run starts a new server.
     """
     count = configs[0].realizations
     workers = _worker_count(threads, count, len(configs))
@@ -310,9 +342,13 @@ def _run_grid(
     else:
         bounds = [count * w // workers for w in range(workers + 1)]
         chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        spawn = multiprocessing.get_context("spawn")
-        with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-            blocks = list(pool.map(_run_block, [configs] * workers, chunks))
+        context = _worker_context()
+        with _worker_environ(), ProcessPoolExecutor(workers, mp_context=context) as pool:
+            try:
+                results = pool.map(_run_block, [configs] * workers, chunks)
+            except EOFError as exc:  # from the fork server's closed socket
+                raise BrokenProcessPool("the fork server exited while starting a worker") from exc
+            blocks = list(results)
         rows = [row for block in blocks for row in block]
     return [list(per_config) for per_config in zip(*rows)]
 
@@ -325,9 +361,15 @@ def run_realizations(
     `threads` caps the worker processes.  The count used is the smallest
     of `threads`, the usable CPUs and realizations // MIN_RUNS_PER_WORKER,
     at least 1; at 1 the realizations run in the calling process, so the
-    pinned 100-realization benchmark always does.  Workers are spawned
-    with one BLAS thread each and take contiguous index chunks.  Results
-    do not depend on the worker count.
+    pinned 100-realization benchmark always does.  Workers run one BLAS
+    thread each and take contiguous index chunks.  Results do not depend
+    on the worker count.
+
+    Each pooled run starts its workers and shuts them down before it
+    returns.  They are forked from a fork server that the first pooled run
+    of the process starts (`_worker_context`): that run pays about what
+    spawning its workers did, and later runs skip the numpy import and the
+    interpreter teardown of every worker.
     """
     return _run_grid([config], threads)[0]
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -276,6 +277,13 @@ POOL_ARGS = {
 }
 
 
+# 70 realizations x 3 radii = 210 runs: 2 workers.
+POOL_SWEEP = [
+    "sweep-central", "--n", "30", "--m", "30", "--dist", "2.0",
+    "--max-rank", "4", "--realizations", "70", "--central", "0.1:0.3:0.1",
+]
+
+
 @pytest.mark.parametrize("command", sorted(POOL_ARGS))
 def test_pooled_csv_matches_serial(command, tmp_path, monkeypatch):
     realizations, extra = POOL_ARGS[command]
@@ -302,20 +310,65 @@ def test_pooled_csv_matches_serial(command, tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
-# Run as the main module, so every spawned worker imports it again and
-# gets the planted failure; the parent keeps the real function.
+def test_pooled_runs_in_one_process_match_serial(tmp_path, monkeypatch):
+    """In one process, a pooled sweep, a pooled benchmark with another n
+    and seed, the first sweep again and a 3-worker sweep each give their
+    serial run's bytes.  Each run has its own pool, and every worker is
+    forked from one fork server."""
+    pools = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            self.workers = max_workers
+            self.forked_by = set()
+            pools.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            probes = [self.submit(os.getppid) for _ in range(self.workers)]
+            self.forked_by.update(probe.result(timeout=60) for probe in probes)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(acakit.experiments, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
+    bench = [
+        "benchmark", "--n", "24", "--m", "24", "--dist", "2.0",
+        "--max-rank", "4", "--realizations", "200", "--seed", "7",
+    ]
+
+    def csv(argv, threads):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    for argv in (POOL_SWEEP, bench, POOL_SWEEP):
+        assert csv(argv, "2") == csv(argv, "1")
+    # 70 realizations x 5 radii = 350 runs: 3 workers.
+    monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 3)
+    wide = POOL_SWEEP[:-1] + ["0.1:0.5:0.1"]
+    assert csv(wide, "3") == csv(wide, "1")
+    assert [p.workers for p in pools] == [2, 2, 2, 3]
+    servers = set().union(*(p.forked_by for p in pools))
+    assert len(servers) == 1 and os.getpid() not in servers
+
+
+# Run as the main module, so every worker imports it again and gets the
+# planted failure while the marker file exists; the parent keeps the real
+# function.  MAIN is the main block's body.
 PLANTED_WORKER = """
 import multiprocessing
 import os
 import sys
+from pathlib import Path
 
 import acakit.experiments
 
 real = acakit.experiments.run_realization
+MARKER = Path(__file__).with_name("failing")
 
 
 def planted(config, index, classical=None):
-    if multiprocessing.parent_process() is not None:
+    if multiprocessing.parent_process() is not None and MARKER.exists():
         FAILURE
     return real(config, index, classical)
 
@@ -326,19 +379,24 @@ acakit.experiments._usable_cpus = lambda: 2
 if __name__ == "__main__":
     from acakit.cli import main
 
-    sys.exit(main(sys.argv[1:]))
+    MAIN
 """
+PLANTED_ARGS = [
+    "benchmark", "--n", "30", "--m", "30", "--max-rank", "4",
+    "--realizations", "200", "--threads", "2",
+]
 
 
-def run_planted_worker(tmp_path, failure, timeout):
-    """Run a pooled benchmark whose spawned workers execute `failure`."""
+def run_planted_worker(tmp_path, failure, timeout, body="sys.exit(main(sys.argv[1:]))"):
+    """Run the planted script on a pooled benchmark's arguments; its
+    workers execute `failure` until the script deletes the marker file."""
     script = tmp_path / "planted_worker.py"
-    script.write_text(PLANTED_WORKER.replace("FAILURE", failure))
+    script.write_text(PLANTED_WORKER.replace("FAILURE", failure).replace("MAIN", body))
+    (tmp_path / "failing").touch()
     env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, str(script), "benchmark", "--n", "30", "--m", "30",
-         "--max-rank", "4", "--realizations", "200", "--threads", "2"],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, str(script), *PLANTED_ARGS],
+        capture_output=True, text=True, env=env, timeout=timeout, cwd=tmp_path,
     )
 
 
@@ -362,6 +420,83 @@ def test_dead_worker_exit_code(tmp_path):
     assert "Traceback" not in proc.stderr
     error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(error) == 1
+
+
+# A pooled run whose worker dies, then the same run pooled and serially
+# once the marker is gone, all in one process.
+RECOVERY = """codes = [main(sys.argv[1:] + ["--out", "dead.csv"])]
+    MARKER.unlink()
+    codes.append(main(sys.argv[1:] + ["--out", "pooled.csv"]))
+    codes.append(main(sys.argv[1:] + ["--threads", "1", "--out", "serial.csv"]))
+    print(codes)"""
+
+
+def test_dead_worker_fails_only_its_run(tmp_path):
+    """A worker that dies fails its run as before, and the next pooled run
+    in the process gets the serial bytes."""
+    proc = run_planted_worker(tmp_path, "os._exit(1)", timeout=120, body=RECOVERY)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1
+    assert proc.stdout.strip() == "[2, 0, 0]"
+    pooled = (tmp_path / "pooled.csv").read_bytes()
+    assert pooled == (tmp_path / "serial.csv").read_bytes()
+
+
+# Puts acakit on sys.path at run time, as perfbench does, runs a pooled
+# sweep and prints the fork server's pid, whether the server has numpy
+# loaded, and the pids of any worker still running.
+SERVER_PROBE = """
+import json
+import multiprocessing
+import multiprocessing.forkserver
+import sys
+
+sys.path.insert(0, sys.argv.pop(1))
+import acakit.experiments
+from acakit.cli import main
+
+acakit.experiments._usable_cpus = lambda: 2
+code = main(sys.argv[1:])
+server = multiprocessing.forkserver._forkserver._forkserver_pid
+with open(f"/proc/{server}/maps") as maps:
+    numpy_loaded = "_multiarray_umath" in maps.read()
+print(json.dumps([server, numpy_loaded, [p.pid for p in multiprocessing.active_children()]]))
+sys.exit(code)
+"""
+
+
+def running(pid):
+    """Whether `pid` runs: it exists and is no zombie left to be reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    return not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_fork_server_preloads_numpy_and_exits_with_its_process(tmp_path):
+    """The fork server imports acakit, so numpy, even when acakit is only
+    on the caller's sys.path.  A process that returns normally after a
+    pooled run leaves nothing running: each run joins its workers, and
+    the server exits with the process that started it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", SERVER_PROBE, str(Path(acakit.__file__).parents[1]),
+         *POOL_SWEEP, "--threads", "2", "--out", str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    server, numpy_loaded, workers = json.loads(proc.stdout)
+    assert numpy_loaded and workers == []
+    # The server exits with the probe; subprocess.run returns once it has
+    # closed the probe's stdout, and the deadline covers the rest of its exit.
+    deadline = time.monotonic() + 5
+    while running(server) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not running(server)
 
 
 def test_benchmark_single_realization(capsys):

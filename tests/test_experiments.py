@@ -1,6 +1,11 @@
 import math
+import multiprocessing.forkserver
 import os
+import signal
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -397,6 +402,37 @@ def test_pooled_realizations_match_serial_and_restore_environ(monkeypatch):
             assert np.array_equal(a.errors[method], b.errors[method])
             assert np.array_equal(a.eval_counts[method], b.eval_counts[method])
         assert np.array_equal(a.gains, b.gains, equal_nan=True)
+
+
+def test_fork_server_that_dies_fails_one_run(monkeypatch):
+    """A fork server that dies while a run waits for it to fork a worker
+    fails that run with BrokenProcessPool; the next run starts a new
+    server and gets the same results."""
+    monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
+    cfg = ExperimentConfig(realizations=200, n=30, m=30, target_dist=2.0, k_max=4)
+    first = run_realizations(cfg, threads=2)
+    server = multiprocessing.forkserver._forkserver._forkserver_pid
+    os.kill(server, signal.SIGSTOP)
+    failures = []
+
+    def run():
+        try:
+            run_realizations(cfg, threads=2)
+        except BrokenProcessPool as exc:
+            failures.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    time.sleep(1)  # the run now waits for the stopped server to fork
+    os.kill(server, signal.SIGKILL)
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(failures) == 1
+    again = run_realizations(cfg, threads=2)
+    assert multiprocessing.forkserver._forkserver._forkserver_pid != server
+    for a, b in zip(first, again):
+        assert a.theta == b.theta
+        assert np.array_equal(a.errors["acagp"], b.errors["acagp"])
 
 
 # --- rendering --------------------------------------------------------------------------
