@@ -22,6 +22,7 @@ from .geometry import (
     DegenerateGeometryError,
     PointCloud,
     _circle_distances,
+    _distances_to,
     circumcircle,
     conjugate_circle,
 )
@@ -112,9 +113,8 @@ def first_pivot(x: PointCloud, y: PointCloud) -> tuple[int, int]:
 
 
 def _nearest_facing(cloud: PointCloud, target: np.ndarray) -> int:
-    rel = cloud.points - cloud.barycenter
-    proj = rel @ (target - cloud.barycenter)
-    dist = np.linalg.norm(rel, axis=1)
+    proj = (cloud.points - cloud.barycenter) @ (target - cloud.barycenter)
+    dist = _distances_to(cloud.points, cloud.barycenter)
     mask = proj > 0.0
     if not mask.any():
         mask = np.ones(len(cloud), dtype=bool)
@@ -138,7 +138,7 @@ def central_subset(
     if epsilon_r <= 0.0:
         raise ValueError("epsilon_r must be positive")
     required = min(len(cloud), k_max + CENTRAL_MARGIN)
-    dist = np.linalg.norm(cloud.points - cloud.points[pivot_index], axis=1)
+    dist = _distances_to(cloud.points, cloud.points[pivot_index])
     eps = epsilon_r
     idx = np.flatnonzero(dist <= eps * cloud.diameter)
     while idx.size < required:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import contextlib
 import math
 import multiprocessing
+import multiprocessing.forkserver
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -283,7 +285,8 @@ def _worker_context() -> multiprocessing.context.BaseContext:
     the platform has one, else spawn.
 
     The fork server starts with the first pooled run, imports this module
-    (numpy with it) once, and lives until the calling process exits.
+    (numpy with it) and `numpy.random`, which numpy imports only on first
+    use, once, and lives until the calling process exits.
     Every later run forks its workers from it, so they start with numpy
     loaded and leave without tearing an interpreter down.  The server runs
     one thread (numpy with one BLAS thread, see `_worker_environ`), so
@@ -294,7 +297,7 @@ def _worker_context() -> multiprocessing.context.BaseContext:
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("spawn")
     context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload([__name__])
+    context.set_forkserver_preload([__name__, "numpy.random"])
     return context
 
 
@@ -326,6 +329,26 @@ def _worker_environ():
                 os.environ[var] = value
 
 
+def _await_fork_server_exit() -> None:
+    """Wait, up to a second, until the fork server that closed its socket
+    has exited.
+
+    The server closes its socket while it exits, before `waitpid` reports
+    it dead; a run started in between would find it alive and connect to
+    the closed socket (ConnectionRefusedError) instead of starting a new
+    server.  The exit status is left for the standard library to collect.
+    """
+    pid = multiprocessing.forkserver._forkserver._forkserver_pid
+    deadline = time.monotonic() + 1.0
+    while pid is not None and time.monotonic() < deadline:
+        try:
+            if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+                return
+        except ChildProcessError:  # already collected
+            return
+        time.sleep(0.001)
+
+
 def _run_grid(
     configs: list[ExperimentConfig], threads: int
 ) -> list[list[RealizationResult]]:
@@ -347,6 +370,7 @@ def _run_grid(
             try:
                 results = pool.map(_run_block, [configs] * workers, chunks)
             except EOFError as exc:  # from the fork server's closed socket
+                _await_fork_server_exit()
                 raise BrokenProcessPool("the fork server exited while starting a worker") from exc
             blocks = list(results)
         rows = [row for block in blocks for row in block]

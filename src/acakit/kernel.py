@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 
-from .geometry import PointCloud, _as_xy, _squared_distances
+from .geometry import PointCloud, _as_xy, _distances_to, _squared_distances
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
@@ -50,7 +50,7 @@ class KernelHandle:
     def _counted(self, dist: np.ndarray) -> np.ndarray:
         """Kernel values 1/dist, one counted evaluation per distance; a
         singular distance raises before anything is counted."""
-        if dist.min() < SINGULAR_DISTANCE:
+        if dist.size and dist.min() < SINGULAR_DISTANCE:
             raise SingularEvaluationError("points closer than 1e-14")
         with self._lock:
             self._count += dist.size
@@ -62,23 +62,23 @@ class KernelHandle:
 
     def eval_row(self, x: PointCloud, y: PointCloud, i: int) -> np.ndarray:
         """Row i of the interaction matrix: kappa(x_i, y_j) for all j."""
-        return self._counted(np.linalg.norm(y.points - x.points[i], axis=1))
+        return self._counted(_distances_to(y.points, x.points[i]))
 
     def eval_col(self, x: PointCloud, y: PointCloud, j: int) -> np.ndarray:
         """Column j of the interaction matrix: kappa(x_i, y_j) for all i."""
-        return self._counted(np.linalg.norm(x.points - y.points[j], axis=1))
+        return self._counted(_distances_to(x.points, y.points[j]))
 
     def eval_row_subset(
         self, x: PointCloud, y: PointCloud, i: int, cols: np.ndarray
     ) -> np.ndarray:
         """kappa(x_i, y_j) for j in cols only."""
-        return self._counted(np.linalg.norm(y.points[cols] - x.points[i], axis=1))
+        return self._counted(_distances_to(y.points[cols], x.points[i]))
 
     def eval_col_subset(
         self, x: PointCloud, y: PointCloud, j: int, rows: np.ndarray
     ) -> np.ndarray:
         """kappa(x_i, y_j) for i in rows only."""
-        return self._counted(np.linalg.norm(x.points[rows] - y.points[j], axis=1))
+        return self._counted(_distances_to(x.points[rows], y.points[j]))
 
     def assemble_dense(self, x: PointCloud, y: PointCloud) -> np.ndarray:
         """Full n x m matrix; refuses more than DEFAULT_DENSE_CAP entries."""

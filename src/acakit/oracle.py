@@ -55,15 +55,23 @@ def rank_errors(a: np.ndarray, skeleton: Skeleton, k_max: int) -> np.ndarray:
     """True relative error after each of the first k_max crosses.
 
     Ranks beyond the skeleton's keep the final error (early termination).
+    Norms are summed by numpy's own loops: `np.linalg.norm` of a matrix is
+    a BLAS dot product, which OpenBLAS splits across threads at a cost
+    larger than the sum itself at n = 200.
     """
-    fro = float(np.linalg.norm(a))
+    fro = _fro(a)
     residual = a.copy()
     out = np.empty(k_max)
     for l in range(k_max):
         if l < skeleton.rank:
             residual -= np.outer(skeleton.u_matrix[:, l], skeleton.v_matrix[:, l])
-        out[l] = float(np.linalg.norm(residual)) / fro
+        out[l] = _fro(residual) / fro
     return out
+
+
+def _fro(a: np.ndarray) -> float:
+    """Frobenius norm of a 2-D array, without BLAS."""
+    return math.sqrt(np.einsum("ij,ij->", a, a))
 
 
 def gain(e_aca: np.ndarray, e_acagp: np.ndarray, e_svd: np.ndarray) -> np.ndarray:

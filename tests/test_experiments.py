@@ -23,7 +23,9 @@ from acakit.experiments import (
     RealizationResult,
     SweepPoint,
     _classical,
+    _worker_context,
     _worker_count,
+    _worker_environ,
     aggregate,
     config_echo,
     epsilon_r_rule,
@@ -402,6 +404,14 @@ def test_pooled_realizations_match_serial_and_restore_environ(monkeypatch):
             assert np.array_equal(a.errors[method], b.errors[method])
             assert np.array_equal(a.eval_counts[method], b.eval_counts[method])
         assert np.array_equal(a.gains, b.gains, equal_nan=True)
+
+
+def test_pooled_worker_starts_with_numpy_random_imported():
+    """numpy imports numpy.random on first use; the fork server preloads
+    it, so no worker pays for the import in its first realization."""
+    probe = "'numpy.random' in __import__('sys').modules"
+    with _worker_environ(), ProcessPoolExecutor(1, mp_context=_worker_context()) as pool:
+        assert pool.submit(eval, probe).result(timeout=60)
 
 
 def test_fork_server_that_dies_fails_one_run(monkeypatch):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import acakit.geometry
@@ -12,7 +14,9 @@ from acakit.geometry import (
     DegenerateGeometryError,
     PointCloud,
     _circle_distances,
+    _distances_to,
     _hull,
+    _squared_distances,
     bounding_aspect_ratio,
     circumcircle,
     cloud_from_json,
@@ -136,6 +140,23 @@ def test_true_distance_corner_squares():
     assert true_distance(corner_square(0.0), corner_square(3.0)) == pytest.approx(
         2.0, abs=1e-15
     )
+
+
+COORDS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    points=st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=12),
+    p=st.tuples(COORDS, COORDS),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_distances_to_equal_axis_norm_bitwise(points, p, scale):
+    pts = scale * np.array(points)
+    p = scale * np.array(p)
+    d = _distances_to(pts, p)
+    assert np.array_equal(d, np.linalg.norm(pts - p, axis=1))
+    assert np.array_equal(d, np.sqrt(_squared_distances(pts, p[None, :])[:, 0]))
 
 
 def test_admissible_corner_squares():

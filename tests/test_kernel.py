@@ -47,8 +47,13 @@ def test_eval_row_example_values():
     np.testing.assert_array_equal(KernelHandle().eval_row(x, y, 0), [1.0, 0.5])
 
 
-def test_rows_cols_and_dense_agree():
-    x, y = small_pair()
+def scaled(x, y, scale):
+    return PointCloud(scale * x.points), PointCloud(scale * y.points)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_rows_cols_and_dense_agree(scale):
+    x, y = scaled(*small_pair(), scale)
     k = KernelHandle()
     a = k.assemble_dense(x, y)
     for i in range(len(x)):
@@ -57,14 +62,24 @@ def test_rows_cols_and_dense_agree():
         np.testing.assert_array_equal(k.eval_col(x, y, j), a[:, j])
 
 
-def test_subsets_match_dense():
-    x, y = small_pair(seed=3)
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_subsets_match_dense(scale):
+    x, y = scaled(*small_pair(seed=3), scale)
     k = KernelHandle()
     a = k.assemble_dense(x, y)
     cols = np.array([0, 3, 7])
     rows = np.array([1, 2, 9])
     np.testing.assert_array_equal(k.eval_row_subset(x, y, 4, cols), a[4, cols])
     np.testing.assert_array_equal(k.eval_col_subset(x, y, 5, rows), a[rows, 5])
+
+
+@pytest.mark.parametrize("probe", ["eval_row_subset", "eval_col_subset"])
+def test_empty_subset_is_empty_and_uncounted(probe):
+    x, y = small_pair()
+    k = KernelHandle()
+    values = getattr(k, probe)(x, y, 0, np.array([], dtype=int))
+    assert values.shape == (0,)
+    assert k.eval_count == 0
 
 
 def test_assemble_dense_single_entry():

@@ -12,6 +12,7 @@ from acakit.oracle import (
     SVD_FLOOR,
     gain,
     genetic_search,
+    rank_errors,
     relative_error,
     svd_rank_errors,
 )
@@ -64,6 +65,28 @@ def test_relative_error_matches_direct_norm():
     skel = aca(x, y, KernelHandle(), StoppingParams(epsilon=1e-30, k_max=4), rng)
     direct = np.linalg.norm(a - dense(skel)) / np.linalg.norm(a)
     assert relative_error(a, skel) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_rank_errors_match_direct_norms(seed):
+    a, x, y, rng = kernel_matrix(seed, n=40, m=30)
+    skel = aca(x, y, KernelHandle(), StoppingParams(epsilon=1e-30, k_max=8), rng)
+    errors = rank_errors(a, skel, skel.rank)
+    assert errors.shape == (skel.rank,)
+    for l in range(1, skel.rank + 1):
+        u, v = skel.u_matrix[:, :l], skel.v_matrix[:, :l]
+        direct = np.linalg.norm(a - u @ v.T) / np.linalg.norm(a)
+        assert errors[l - 1] == pytest.approx(direct, rel=1e-12)
+
+
+def test_rank_errors_repeat_the_last_error_past_early_termination():
+    a, x, y, rng = kernel_matrix(6)
+    skel = aca(x, y, KernelHandle(), StoppingParams(epsilon=1e-4, k_max=10), rng)
+    assert 1 <= skel.rank < 10
+    errors = rank_errors(a, skel, 10)
+    assert np.array_equal(errors[: skel.rank], rank_errors(a, skel, skel.rank))
+    assert np.all(errors[skel.rank :] == errors[skel.rank - 1])
+    assert errors[skel.rank - 1] == pytest.approx(relative_error(a, skel), rel=1e-12)
 
 
 def test_relative_error_dominated_by_svd():
