@@ -168,7 +168,9 @@ def _cmd_approximate(args) -> int:
         f" kernel_evals={kernel.eval_count}"
     )
     if args.out is not None:
-        Path(args.out).write_text(text + "\n")
+        with Path(args.out).open("w") as fh:
+            fh.write(text)
+            fh.write("\n")  # not text + "\n", a second copy of the document
         print(summary)
     else:
         print(text)

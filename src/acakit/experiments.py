@@ -9,18 +9,13 @@ gains are aggregated geometrically.
 """
 from __future__ import annotations
 
-import contextlib
 import math
-import multiprocessing
-import multiprocessing.forkserver
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from ._pool import _usable_cpus, pool_map
 from ._version import __version__
 from .acagp import GpOptions, aca_gp, epsilon_r_rule
 from .geometry import PointCloud, place_clouds
@@ -54,19 +49,16 @@ LOG_FLOOR = 1e-300
 
 # Fewest realization runs (realizations x grid values) that pay for one
 # worker process.  Starting two spawned workers, running a toy task and
-# shutting them down takes about 0.35 s, most of it importing numpy.  With
-# workers forked from the fork server (`_worker_context`) that is 0.16 to
-# 0.24 s for the run that starts the server, and 0.01 to 0.03 s for every
-# later run in the process.  At n = m = 200, k = 10 on 2 CPUs, two
+# shutting them down takes about 0.35 s, most of it importing numpy.
+# With workers forked from the fork server (`_pool._worker_context`) that
+# is 0.16 to 0.24 s for the run that starts the server, and 0.01 to 0.03 s
+# for every later run in the process.  At n = m = 200, k = 10 on 2 CPUs, two
 # spawned workers against one process take 0.73 s against 0.90 s on a
 # 9-radius sweep of 198 runs, 1.2 s against 2.2 s at 450, and 1.3 s
 # against 2.35 s on a 200-realization benchmark.  They win even at 100
 # realizations (0.88 s against 1.1 s); the gate stays at 100 so that the
 # pinned 100-realization benchmark runs serially.
 MIN_RUNS_PER_WORKER = 100
-
-# Set to "1" while a worker pool starts, so that each worker runs one BLAS thread.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -261,13 +253,6 @@ def _run_block(
     return rows
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _worker_count(threads: int, realizations: int, grid_size: int = 1) -> int:
     """Worker processes for `realizations` x `grid_size` runs; 1 means
     serial.  A worker takes whole realizations, so there are never more
@@ -278,75 +263,6 @@ def _worker_count(threads: int, realizations: int, grid_size: int = 1) -> int:
     return max(
         1, min(threads, _usable_cpus(), realizations, runs // MIN_RUNS_PER_WORKER)
     )
-
-
-def _worker_context() -> multiprocessing.context.BaseContext:
-    """The start method of pooled runs' workers: the fork server, where
-    the platform has one, else spawn.
-
-    The fork server starts with the first pooled run, imports this module
-    (numpy with it) and `numpy.random`, which numpy imports only on first
-    use, once, and lives until the calling process exits.
-    Every later run forks its workers from it, so they start with numpy
-    loaded and leave without tearing an interpreter down.  The server runs
-    one thread (numpy with one BLAS thread, see `_worker_environ`), so
-    forking it is safe where forking the caller is not.  It is started
-    afresh if it has died.  The server is process-wide: one that other
-    code started first keeps its own environment and preloads.
-    """
-    if "forkserver" not in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("spawn")
-    context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload([__name__, "numpy.random"])
-    return context
-
-
-@contextlib.contextmanager
-def _worker_environ():
-    """Set the BLAS thread variables to "1" and put this package's
-    directory first on PYTHONPATH for the with block, then restore each
-    (set or absent) exactly.
-
-    The fork server, or a spawned worker, takes the environment it starts
-    with, and the executor starts workers in `submit`, so the pool runs
-    inside this block.  Numpy is then loaded with one BLAS thread in every
-    worker.  PYTHONPATH lets the fork server import this module: Python
-    3.11's server does not take the caller's sys.path.
-    """
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    saved = {var: os.environ.get(var) for var in (*BLAS_THREAD_VARS, "PYTHONPATH")}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + ([saved["PYTHONPATH"]] if saved["PYTHONPATH"] else [])
-    )
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                del os.environ[var]
-            else:
-                os.environ[var] = value
-
-
-def _await_fork_server_exit() -> None:
-    """Wait, up to a second, until the fork server that closed its socket
-    has exited.
-
-    The server closes its socket while it exits, before `waitpid` reports
-    it dead; a run started in between would find it alive and connect to
-    the closed socket (ConnectionRefusedError) instead of starting a new
-    server.  The exit status is left for the standard library to collect.
-    """
-    pid = multiprocessing.forkserver._forkserver._forkserver_pid
-    deadline = time.monotonic() + 1.0
-    while pid is not None and time.monotonic() < deadline:
-        try:
-            if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
-                return
-        except ChildProcessError:  # already collected
-            return
-        time.sleep(0.001)
 
 
 def _run_grid(
@@ -360,20 +276,10 @@ def _run_grid(
     """
     count = configs[0].realizations
     workers = _worker_count(threads, count, len(configs))
-    if workers == 1:
-        rows = _run_block(configs, range(count))
-    else:
-        bounds = [count * w // workers for w in range(workers + 1)]
-        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        context = _worker_context()
-        with _worker_environ(), ProcessPoolExecutor(workers, mp_context=context) as pool:
-            try:
-                results = pool.map(_run_block, [configs] * workers, chunks)
-            except EOFError as exc:  # from the fork server's closed socket
-                _await_fork_server_exit()
-                raise BrokenProcessPool("the fork server exited while starting a worker") from exc
-            blocks = list(results)
-        rows = [row for block in blocks for row in block]
+    bounds = [count * w // workers for w in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    blocks = pool_map(partial(_run_block, configs), chunks, workers)
+    rows = [row for block in blocks for row in block]
     return [list(per_config) for per_config in zip(*rows)]
 
 
@@ -390,10 +296,10 @@ def run_realizations(
     on the worker count.
 
     Each pooled run starts its workers and shuts them down before it
-    returns.  They are forked from a fork server that the first pooled run
-    of the process starts (`_worker_context`): that run pays about what
-    spawning its workers did, and later runs skip the numpy import and the
-    interpreter teardown of every worker.
+    returns.  They are forked from a fork server that the first pooled
+    run of the process starts (`_pool._worker_context`): that run pays
+    about what spawning its workers did, and later runs skip the numpy
+    import and the interpreter teardown of every worker.
     """
     return _run_grid([config], threads)[0]
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._pool import _usable_cpus, pool_map
 from .geometry import PointCloud
 from .kernel import KernelHandle
 
@@ -33,6 +34,16 @@ __all__ = [
 
 # Pivots smaller than this fraction of the first pivot terminate a run.
 PIVOT_FLOOR_REL = 1e-12
+
+# Fewest factor floats that pay for one JSON-encoding worker process.
+# Encoding a float takes 0.7 to 1.4 us (`float.__repr__`).  The first
+# pooled call of a process starts the fork server, which with two
+# workers takes 0.16 to 0.30 s on 2 CPUs; later calls start theirs in
+# 0.01 to 0.03 s.  Two workers save about half of a serial encode: 0.18
+# to 0.35 s at the gate (2 x 250 000 floats), about a cold start, and
+# 0.2 to 0.4 s at n = m = 10 000, k = 30.  perfbench's n = 1000, k = 30
+# warm-up (60 000 floats) and every test-size skeleton stay serial.
+MIN_FLOATS_PER_WORKER = 250_000
 
 
 class PivotsExhaustedError(RuntimeError):
@@ -353,20 +364,51 @@ def dense(skeleton: Skeleton) -> np.ndarray:
     return skeleton.u_matrix @ skeleton.v_matrix.T
 
 
+def _vector_json(vector: np.ndarray) -> str:
+    return json.dumps(vector.tolist())
+
+
+def _json_workers(n: int, m: int, rank: int) -> int:
+    """Worker processes that encode the factor vectors of a rank-`rank`
+    n x m skeleton; 1 means serial."""
+    floats = rank * (n + m)
+    return max(1, min(_usable_cpus(), rank, floats // MIN_FLOATS_PER_WORKER))
+
+
 def skeleton_to_json(skeleton: Skeleton, meta: dict | None = None) -> str:
-    """Serialize a skeleton; U and V are stored as k vectors each."""
-    payload: dict = {}
-    if meta is not None:
-        payload["meta"] = meta
-    payload.update(
-        {
-            "rank": skeleton.rank,
-            "pivot_rows": list(skeleton.pivot_rows),
-            "pivot_cols": list(skeleton.pivot_cols),
-            "U": skeleton.u_matrix.T.tolist(),
-            "V": skeleton.v_matrix.T.tolist(),
-            "approx_norm": skeleton.approx_norm,
-            "pivot_trace": [asdict(rec) for rec in skeleton.pivot_trace],
-        }
+    """Serialize a skeleton; U and V are stored as k vectors each.
+
+    The text is `json.dumps` of one dict holding meta (when given), rank,
+    pivot_rows, pivot_cols, U, V, approx_norm and pivot_trace, in that
+    order.  Each factor vector is encoded on its own and the pieces are
+    joined once.
+
+    A skeleton of k(n + m) >= 2 * MIN_FLOATS_PER_WORKER floats has its
+    vectors encoded on min(usable CPUs, k, floats // MIN_FLOATS_PER_WORKER)
+    worker processes (see `_pool.pool_map`); a smaller one, whose encode
+    would not pay for starting them, in the calling process.  The bytes
+    are the same either way.  A script that calls this above the gate
+    needs an `if __name__ == "__main__":` guard, as pooled benchmark runs
+    do.
+    """
+    head: dict = {} if meta is None else {"meta": meta}
+    head.update(
+        rank=skeleton.rank,
+        pivot_rows=list(skeleton.pivot_rows),
+        pivot_cols=list(skeleton.pivot_cols),
     )
-    return json.dumps(payload)
+    tail = {
+        "approx_norm": skeleton.approx_norm,
+        "pivot_trace": [asdict(rec) for rec in skeleton.pivot_trace],
+    }
+    rank = skeleton.rank
+    vectors = [*skeleton.u_matrix.T, *skeleton.v_matrix.T]
+    workers = _json_workers(len(skeleton.u_matrix), len(skeleton.v_matrix), rank)
+    texts = pool_map(_vector_json, vectors, workers)
+    pieces = [json.dumps(head)[:-1]]
+    for name, factor in (("U", texts[:rank]), ("V", texts[rank:])):
+        pieces.append(f', "{name}": [')
+        pieces += [piece for text in factor for piece in (", ", text)][1:]
+        pieces.append("]")
+    pieces.append(", " + json.dumps(tail)[1:])
+    return "".join(pieces)

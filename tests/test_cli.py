@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import acakit
+import acakit._pool
 from acakit import __version__
 from acakit.cli import main
 from acakit.geometry import PointCloud, cloud_to_json, generate_cloud, place_clouds
@@ -296,7 +297,7 @@ def test_pooled_csv_matches_serial(command, tmp_path, monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(acakit.experiments, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(acakit._pool, "ProcessPoolExecutor", Spy)
     argv = [
         command, "--n", "30", "--m", "30", "--dist", "2.0", "--max-rank", "4",
         "--realizations", str(realizations), *extra,
@@ -329,7 +330,7 @@ def test_pooled_runs_in_one_process_match_serial(tmp_path, monkeypatch):
             self.forked_by.update(probe.result(timeout=60) for probe in probes)
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(acakit.experiments, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(acakit._pool, "ProcessPoolExecutor", Spy)
     monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
     bench = [
         "benchmark", "--n", "24", "--m", "24", "--dist", "2.0",
@@ -353,8 +354,10 @@ def test_pooled_runs_in_one_process_match_serial(tmp_path, monkeypatch):
 
 
 # Run as the main module, so every worker imports it again and gets the
-# planted failure while the marker file exists; the parent keeps the real
-# function.  MAIN is the main block's body.
+# planted failures while the marker file exists; the parent keeps the real
+# functions.  A realization runs FAILURE; encoding a factor vector, which
+# every skeleton above one float takes to workers here, exits.  MAIN is
+# the main block's body.
 PLANTED_WORKER = """
 import multiprocessing
 import os
@@ -362,8 +365,11 @@ import sys
 from pathlib import Path
 
 import acakit.experiments
+import acakit.lowrank
 
 real = acakit.experiments.run_realization
+real_vector_json = acakit.lowrank._vector_json
+GATE = acakit.lowrank.MIN_FLOATS_PER_WORKER
 MARKER = Path(__file__).with_name("failing")
 
 
@@ -373,8 +379,17 @@ def planted(config, index, classical=None):
     return real(config, index, classical)
 
 
+def planted_vector_json(vector):
+    if multiprocessing.parent_process() is not None and MARKER.exists():
+        os._exit(1)
+    return real_vector_json(vector)
+
+
 acakit.experiments.run_realization = planted
 acakit.experiments._usable_cpus = lambda: 2
+acakit.lowrank._vector_json = planted_vector_json
+acakit.lowrank._usable_cpus = lambda: 2
+acakit.lowrank.MIN_FLOATS_PER_WORKER = 1
 
 if __name__ == "__main__":
     from acakit.cli import main
@@ -387,15 +402,17 @@ PLANTED_ARGS = [
 ]
 
 
-def run_planted_worker(tmp_path, failure, timeout, body="sys.exit(main(sys.argv[1:]))"):
-    """Run the planted script on a pooled benchmark's arguments; its
-    workers execute `failure` until the script deletes the marker file."""
+def run_planted_worker(
+    tmp_path, failure, timeout, body="sys.exit(main(sys.argv[1:]))", args=PLANTED_ARGS
+):
+    """Run the planted script on `args`, by default a pooled benchmark's;
+    its workers fail until the script deletes the marker file."""
     script = tmp_path / "planted_worker.py"
     script.write_text(PLANTED_WORKER.replace("FAILURE", failure).replace("MAIN", body))
     (tmp_path / "failing").touch()
     env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, str(script), *PLANTED_ARGS],
+        [sys.executable, str(script), *args],
         capture_output=True, text=True, env=env, timeout=timeout, cwd=tmp_path,
     )
 
@@ -442,6 +459,37 @@ def test_dead_worker_fails_only_its_run(tmp_path):
     assert proc.stdout.strip() == "[2, 0, 0]"
     pooled = (tmp_path / "pooled.csv").read_bytes()
     assert pooled == (tmp_path / "serial.csv").read_bytes()
+
+
+# A pooled `approximate` whose encoding worker dies, then the same call
+# pooled and, with the real gate back, serially, all in one process.
+APPROX_ARGS = [
+    "approximate", "--gen", "xi=1,n=300,m=300,dist=2.5", "--max-rank", "10",
+    "--epsilon", "1e-10", "--seed", "3", "--force",
+]
+APPROX_RECOVERY = """codes = [main(sys.argv[1:] + ["--out", "dead.json"])]
+    MARKER.unlink()
+    codes.append(main(sys.argv[1:] + ["--out", "pooled.json"]))
+    acakit.lowrank.MIN_FLOATS_PER_WORKER = GATE
+    codes.append(main(sys.argv[1:] + ["--out", "serial.json"]))
+    print(codes)"""
+
+
+def test_dead_encoder_worker_fails_only_its_approximate(tmp_path):
+    """A worker that dies while it encodes a skeleton's factors fails that
+    `approximate` call with one `error:` line and writes no file; the
+    next pooled encode in the process writes the serial bytes."""
+    proc = run_planted_worker(
+        tmp_path, "os._exit(1)", timeout=120, body=APPROX_RECOVERY, args=APPROX_ARGS
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1
+    assert proc.stdout.strip().splitlines()[-1] == "[2, 0, 0]"
+    assert not (tmp_path / "dead.json").exists()
+    pooled = (tmp_path / "pooled.json").read_bytes()
+    assert pooled == (tmp_path / "serial.json").read_bytes()
 
 
 # Puts acakit on sys.path at run time, as perfbench does, runs a pooled

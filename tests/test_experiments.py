@@ -11,11 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import acakit._pool
 import acakit.experiments
 import acakit.geometry
+from acakit._pool import BLAS_THREAD_VARS, _worker_context, _worker_environ
 from acakit.acagp import GpOptions, aca_gp
 from acakit.experiments import (
-    BLAS_THREAD_VARS,
     METHODS,
     RUN_TO_RANK_EPSILON,
     ExperimentConfig,
@@ -23,9 +24,7 @@ from acakit.experiments import (
     RealizationResult,
     SweepPoint,
     _classical,
-    _worker_context,
     _worker_count,
-    _worker_environ,
     aggregate,
     config_echo,
     epsilon_r_rule,
@@ -385,7 +384,7 @@ def test_pooled_realizations_match_serial_and_restore_environ(monkeypatch):
             pools.append((self.workers, seen))
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(acakit.experiments, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(acakit._pool, "ProcessPoolExecutor", Spy)
     monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

@@ -1,17 +1,23 @@
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acakit._pool
+import acakit.lowrank
 from acakit.geometry import PointCloud, place_clouds
 from acakit.kernel import KernelHandle
 from acakit.lowrank import (
+    PivotRecord,
     PivotsExhaustedError,
     Skeleton,
     StoppingParams,
+    _json_workers,
     _SkeletonBuilder,
     aca,
     compression_ratio,
@@ -351,3 +357,91 @@ def test_skeleton_json_structure():
     np.testing.assert_allclose(
         np.array(data["U"]).T @ np.array(data["V"]), dense(skel), atol=1e-15
     )
+
+
+def dumped_payload(skeleton, meta=None):
+    """The skeleton document as one `json.dumps` of a dict: the bytes
+    `skeleton_to_json` must give."""
+    payload: dict = {}
+    if meta is not None:
+        payload["meta"] = meta
+    payload.update(
+        {
+            "rank": skeleton.rank,
+            "pivot_rows": list(skeleton.pivot_rows),
+            "pivot_cols": list(skeleton.pivot_cols),
+            "U": skeleton.u_matrix.T.tolist(),
+            "V": skeleton.v_matrix.T.tolist(),
+            "approx_norm": skeleton.approx_norm,
+            "pivot_trace": [asdict(rec) for rec in skeleton.pivot_trace],
+        }
+    )
+    return json.dumps(payload)
+
+
+def random_skeleton(n, m, k, seed):
+    """A rank-k skeleton with random factors and pivots, built without
+    kernel evaluations."""
+    rng = np.random.default_rng(seed)
+    trace = tuple(
+        PivotRecord(l + 1, int(rng.integers(n)), int(rng.integers(m)),
+                    float(rng.standard_normal()), "partial")
+        for l in range(k)
+    )
+    return Skeleton(
+        u_matrix=rng.standard_normal((n, k)),
+        v_matrix=rng.standard_normal((m, k)) * 1e-7,
+        approx_norm=float(rng.random()),
+        residual_norm=0.0,
+        pivot_trace=trace,
+    )
+
+
+NESTED_META = {
+    "version": "0.1",
+    "config": {"source": ["wolke-ü.json", "雲.json"], "epsilon": 1e-6, "k_max": 5},
+    "notes": [None, True, {"π": 3.14}],
+}
+
+
+@pytest.mark.parametrize("meta", [None, NESTED_META], ids=["no-meta", "nested-meta"])
+@pytest.mark.parametrize("rank", [0, 1, 5])
+def test_skeleton_json_bytes_serial_and_pooled(rank, meta, monkeypatch):
+    """The factor vectors are encoded one by one, serially or on worker
+    processes, and the document is the bytes of one `json.dumps`."""
+    x, y, _ = pair(21, n=40, m=30)
+    skel = run_to_rank(x, y, rank, seed=21)[0] if rank else empty_skeleton(40, 30)
+    assert skel.rank == rank
+    expected = dumped_payload(skel, meta)
+    assert skeleton_to_json(skel, meta) == expected
+    pools = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(acakit._pool, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(acakit.lowrank, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(acakit.lowrank, "MIN_FLOATS_PER_WORKER", 1)
+    assert skeleton_to_json(skel, meta) == expected
+    # Never more workers than the rank.
+    assert pools == ([2] if rank >= 2 else [])
+
+
+def test_skeleton_json_below_gate_starts_no_process(monkeypatch):
+    """perfbench's approx-n10000 warm-up size (n = m = 1000, k = 30) is
+    encoded in the calling process at any CPU count."""
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(acakit._pool, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(acakit.lowrank, "_usable_cpus", lambda: 64)
+    skel = random_skeleton(1000, 1000, 30, seed=22)
+    assert _json_workers(1000, 1000, 30) == 1
+    assert skeleton_to_json(skel) == dumped_payload(skel)
+    # The pinned n = 10000 size gets two workers; n = 20000 four.
+    assert _json_workers(10_000, 10_000, 30) == 2
+    assert _json_workers(20_000, 20_000, 30) == 4

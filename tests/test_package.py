@@ -78,3 +78,15 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_lowrank_import_loads_no_experiments():
+    """The skeleton encoder shares the worker pool through `_pool`, not
+    through the benchmark harness."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, acakit.lowrank; print('acakit.experiments' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
