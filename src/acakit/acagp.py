@@ -172,8 +172,8 @@ def select_rank2(
     builder: _SkeletonBuilder,
     i1: int,
     j1: int,
-    ic_work: list[int],
-    jc_work: list[int],
+    ic_work: np.ndarray,
+    jc_work: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[int, int, float, Circle]:
     """Second pivot via the circle through the first pivot pair.
@@ -186,7 +186,7 @@ def select_rank2(
     Raises DegenerateGeometryError when the three points are collinear
     (the caller falls back to magnitude-only selection).
     """
-    if not ic_work or not jc_work:
+    if not len(ic_work) or not len(jc_work):
         raise PivotsExhaustedError("central subsets exhausted")
     x, y = builder.x, builder.y
     cand = np.asarray(ic_work)
@@ -203,8 +203,8 @@ def select_rank3(
     i1: int,
     j1: int,
     c2: Circle,
-    ic_work: list[int],
-    jc_work: list[int],
+    ic_work: np.ndarray,
+    jc_work: np.ndarray,
 ) -> tuple[int, int, float]:
     """Third pivot via the circles conjugate to the rank-2 circle.
 
@@ -213,7 +213,7 @@ def select_rank3(
     conjugate circle anchored at y_j1, probing residual entries through
     `builder` with the same stopping rule as the rank-2 search.
     """
-    if not ic_work or not jc_work:
+    if not len(ic_work) or not len(jc_work):
         raise PivotsExhaustedError("central subsets exhausted")
     x, y = builder.x, builder.y
     conj_x = conjugate_circle(c2, x.points[i1], y.points[j1] - x.points[i1])
@@ -228,8 +228,8 @@ def select_rank3(
 
 def select_higher(
     builder: _SkeletonBuilder,
-    ic_work: list[int],
-    jc_work: list[int],
+    ic_work: np.ndarray,
+    jc_work: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[int, int, float]:
     """Pivot for ranks beyond the circle heuristics.
@@ -240,7 +240,7 @@ def select_higher(
     that column wins.  Ties go to the smallest index.  Residuals come from
     `builder`, restricted to the candidates.
     """
-    if not ic_work or not jc_work:
+    if not len(ic_work) or not len(jc_work):
         raise PivotsExhaustedError("central subsets exhausted")
     rows = np.asarray(ic_work)
     cols = np.asarray(jc_work)
@@ -334,11 +334,11 @@ def aca_gp(
         return builder.build()
 
     # Each subset holds >= k_max points, the first pivot among them, and every
-    # selector picks from the work lists: neither list runs dry before k_max.
+    # selector picks from the work arrays: neither runs dry before k_max.
     ic_idx, _ = central_subset(x, i1, k_max, eps_r)
     jc_idx, _ = central_subset(y, j1, k_max, eps_r)
-    ic_work = [int(i) for i in ic_idx if i != i1]
-    jc_work = [int(j) for j in jc_idx if j != j1]
+    ic_work = ic_idx[ic_idx != i1]
+    jc_work = jc_idx[jc_idx != j1]
     use_circles = _circles_enabled(opts, x, y)
     c2: Circle | None = None
 
@@ -363,8 +363,8 @@ def aca_gp(
         i_k, j_k, pivot = selection
         if abs(pivot) <= builder.pivot_floor():
             break
-        ic_work.remove(i_k)
-        jc_work.remove(j_k)
+        ic_work = ic_work[ic_work != i_k]
+        jc_work = jc_work[jc_work != j_k]
         row = builder.residual_row(i_k)
         col = builder.residual_col(j_k)
         builder.add_cross(i_k, j_k, pivot, row, col, selector)

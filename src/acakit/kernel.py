@@ -6,6 +6,7 @@ all complexity claims and budget checks.
 """
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -57,8 +58,18 @@ class KernelHandle:
         return 1.0 / dist
 
     def eval(self, x, y) -> float:
-        """Single kernel value; one counted evaluation."""
-        return float(self._counted(np.linalg.norm(_as_xy(x) - _as_xy(y))))
+        """Single kernel value; one counted evaluation.
+
+        The distance is the dot product and square root that
+        `np.linalg.norm` takes for one vector, on Python floats.
+        """
+        d = _as_xy(x) - _as_xy(y)
+        dist = math.sqrt(float(d @ d))
+        if dist < SINGULAR_DISTANCE:
+            raise SingularEvaluationError("points closer than 1e-14")
+        with self._lock:
+            self._count += 1
+        return 1.0 / dist
 
     def eval_row(self, x: PointCloud, y: PointCloud, i: int) -> np.ndarray:
         """Row i of the interaction matrix: kappa(x_i, y_j) for all j."""

@@ -156,8 +156,8 @@ def update_norms(
     cancellation can push the radicand below zero; it is clamped to zero
     and flagged.
     """
-    norm_u = float(np.linalg.norm(u_new))
-    norm_v = float(np.linalg.norm(v_new))
+    norm_u = math.sqrt(float(u_new @ u_new))
+    norm_v = math.sqrt(float(v_new @ v_new))
     residual_norm = norm_u * norm_v
     cross = 2.0 * float((u_stack.T @ u_new) @ (v_stack.T @ v_new))
     radicand = approx_norm * approx_norm + cross + residual_norm * residual_norm
@@ -178,12 +178,12 @@ def pivot_row_rule(
     unused row with the largest entry of the previous scaled column wins,
     ties going to the smallest index.
     """
-    unused = np.flatnonzero(~used_rows)
-    if unused.size == 0:
+    if used_rows.all():
         raise PivotsExhaustedError("all rows used")
     if prev_u is None:
+        unused = np.flatnonzero(~used_rows)
         return int(unused[rng.integers(unused.size)])
-    scores = np.abs(prev_u).copy()
+    scores = np.abs(prev_u)
     scores[used_rows] = -1.0
     return int(np.argmax(scores))
 

@@ -48,30 +48,64 @@ def svd_rank_errors(a: np.ndarray, k_max: int) -> np.ndarray:
 
 def relative_error(a: np.ndarray, skeleton: Skeleton) -> float:
     """|A - U V^T|_F / |A|_F against the dense matrix."""
-    return float(np.linalg.norm(a - dense(skeleton)) / np.linalg.norm(a))
+    fro = _nonzero_fro(a)
+    return _fro(a - dense(skeleton)) / fro
 
 
 def rank_errors(a: np.ndarray, skeleton: Skeleton, k_max: int) -> np.ndarray:
     """True relative error after each of the first k_max crosses.
 
-    Ranks beyond the skeleton's keep the final error (early termination).
-    Norms are summed by numpy's own loops: `np.linalg.norm` of a matrix is
-    a BLAS dot product, which OpenBLAS splits across threads at a cost
-    larger than the sum itself at n = 200.
+    Rank 1 is |A - u_1 v_1^T|_F / |A|_F, formed directly.  With r the
+    smaller of k_max and the skeleton's rank, the residual R_r after the
+    r-th cross is formed once, and the ranks below r are reached by
+    adding crosses W_l = u_l v_l^T back one at a time:
+
+        |R_{l-1}|^2 = |R_l|^2 + 2<R_l, W_l> + |W_l|^2,
+        <R_l, W_l> = u_l.(R_r v_l) + sum_{p>l} (u_l.u_p)(v_l.v_p),
+
+    so each error depends only on A and the crosses up to its rank, at
+    three passes over the n x m matrix instead of three per rank.  Ranks
+    beyond r keep the final error (early termination).  Forming R_r and
+    R_r V are BLAS calls, which OpenBLAS may split across threads; the
+    norms are summed by numpy's own loops.
     """
-    fro = _fro(a)
-    residual = a.copy()
-    out = np.empty(k_max)
-    for l in range(k_max):
-        if l < skeleton.rank:
-            residual -= np.outer(skeleton.u_matrix[:, l], skeleton.v_matrix[:, l])
-        out[l] = _fro(residual) / fro
+    fro = _nonzero_fro(a)
+    out = np.ones(k_max)
+    r = min(k_max, skeleton.rank)
+    if r == 0:
+        return out
+    u, v = skeleton.u_matrix[:, :r], skeleton.v_matrix[:, :r]
+    residual = a - np.outer(u[:, 0], v[:, 0])
+    out[0] = _fro(residual) / fro
+    if r > 1:
+        u, v = u[:, 1:], v[:, 1:]
+        residual -= u @ v.T
+        gram = (u.T @ u) * (v.T @ v)
+        inner = np.einsum("il,il->l", u, residual @ v) + np.triu(gram, 1).sum(axis=1)
+        steps = 2.0 * inner + gram.diagonal()
+        # |R_r|^2, then |R_{r-1}|^2 down to |R_2|^2.
+        walk = np.cumsum(np.concatenate(([_fro_sq(residual)], steps[:0:-1])))
+        out[1:r] = np.sqrt(np.maximum(walk[::-1], 0.0)) / fro
+    out[r:] = out[r - 1]
     return out
+
+
+def _fro_sq(a: np.ndarray) -> float:
+    """Squared Frobenius norm of a 2-D array, without BLAS."""
+    return float(np.einsum("ij,ij->", a, a))
 
 
 def _fro(a: np.ndarray) -> float:
     """Frobenius norm of a 2-D array, without BLAS."""
-    return math.sqrt(np.einsum("ij,ij->", a, a))
+    return math.sqrt(_fro_sq(a))
+
+
+def _nonzero_fro(a: np.ndarray) -> float:
+    """`_fro(a)`, refusing a zero matrix, whose relative error is undefined."""
+    fro = _fro(a)
+    if fro == 0.0:
+        raise ValueError("zero matrix has no relative error")
+    return fro
 
 
 def gain(e_aca: np.ndarray, e_acagp: np.ndarray, e_svd: np.ndarray) -> np.ndarray:

@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acakit.acagp import GpOptions, aca_gp
 from acakit.geometry import place_clouds
 from acakit.kernel import DenseCapExceededError, KernelHandle
-from acakit.lowrank import StoppingParams, aca, dense
+from acakit.lowrank import Skeleton, StoppingParams, aca, dense
 from acakit.oracle import (
     SVD_FLOOR,
+    _fro,
     gain,
     genetic_search,
     rank_errors,
@@ -87,6 +90,120 @@ def test_rank_errors_repeat_the_last_error_past_early_termination():
     assert np.array_equal(errors[: skel.rank], rank_errors(a, skel, skel.rank))
     assert np.all(errors[skel.rank :] == errors[skel.rank - 1])
     assert errors[skel.rank - 1] == pytest.approx(relative_error(a, skel), rel=1e-12)
+
+
+def direct_errors(a, skel, k):
+    """|A - U_l V_l^T|_F / |A|_F formed directly, for l = 1..k."""
+    fro = np.linalg.norm(a)
+    return np.array(
+        [
+            np.linalg.norm(a - skel.u_matrix[:, :l] @ skel.v_matrix[:, :l].T) / fro
+            for l in range(1, k + 1)
+        ]
+    )
+
+
+def benchmark_skeletons(seed, n=200, m=200, k_max=10, epsilon_r=0.25):
+    """The dense matrix and both drivers' skeletons for one realization at
+    the pinned benchmark's distance and radius."""
+    a, x, y, rng = kernel_matrix(seed, n=n, m=m, dist=1.5)
+    stop = StoppingParams(epsilon=1e-30, k_max=k_max)
+    skel_aca = aca(x, y, KernelHandle(), stop, rng)
+    skel_gp = aca_gp(
+        x, y, KernelHandle(), stop, GpOptions(epsilon_r=epsilon_r), rng=rng
+    )
+    return a, skel_aca, skel_gp
+
+
+def cut(skel, k):
+    """The skeleton of the first k crosses only."""
+    return replace(
+        skel,
+        u_matrix=skel.u_matrix[:, :k].copy(),
+        v_matrix=skel.v_matrix[:, :k].copy(),
+        pivot_trace=skel.pivot_trace[:k],
+    )
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1001])
+def test_rank_errors_match_direct_norms_at_benchmark_scale(seed):
+    a, skel_aca, skel_gp = benchmark_skeletons(seed)
+    for skel in (skel_aca, skel_gp):
+        assert skel.rank == 10
+        np.testing.assert_allclose(
+            rank_errors(a, skel, 10), direct_errors(a, skel, 10), rtol=1e-12, atol=0
+        )
+
+
+def test_rank_errors_match_direct_norms_for_transposed_acagp():
+    # n < m: aca_gp runs on the swapped pair and transposes its skeleton.
+    a, skel_aca, skel_gp = benchmark_skeletons(3, n=120, m=200)
+    for skel in (skel_aca, skel_gp):
+        assert skel.u_matrix.shape == (120, 10)
+        np.testing.assert_allclose(
+            rank_errors(a, skel, 10), direct_errors(a, skel, 10), rtol=1e-12, atol=0
+        )
+
+
+def test_rank_errors_of_a_zero_rank_skeleton_are_all_one():
+    a, _, _, _ = kernel_matrix(8)
+    skel = Skeleton(
+        u_matrix=np.zeros((20, 0)),
+        v_matrix=np.zeros((20, 0)),
+        approx_norm=0.0,
+        residual_norm=0.0,
+    )
+    assert rank_errors(a, skel, 5).tolist() == [1.0] * 5
+
+
+def test_rank_errors_match_direct_norms_after_a_pivot_floor_stop():
+    """aca_gp with small pools ends at a floor-level pool pivot, far below
+    k_max, with errors near 1e-8.  There the float64 residual itself holds
+    only 9 to 11 digits, whichever way it is formed, so the direct
+    reference is matched to half a unit roundoff of |A| as well."""
+    a, _, skel = benchmark_skeletons(0, k_max=40, epsilon_r=0.1)
+    assert 10 < skel.rank < 40
+    errors = rank_errors(a, skel, 40)
+    np.testing.assert_allclose(
+        errors[: skel.rank], direct_errors(a, skel, skel.rank), rtol=1e-12, atol=1e-16
+    )
+    assert np.all(errors[skel.rank :] == errors[skel.rank - 1])
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_rank_errors_count_only_the_first_k_max_crosses(k):
+    a, skel_aca, skel_gp = benchmark_skeletons(11)
+    for skel in (skel_aca, skel_gp):
+        errors = rank_errors(a, skel, k)
+        np.testing.assert_allclose(errors, direct_errors(a, skel, k), rtol=1e-12, atol=0)
+        assert errors.tobytes() == rank_errors(a, cut(skel, k), k).tobytes()
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_rank_one_error_is_formed_directly(seed):
+    a, skel_aca, skel_gp = benchmark_skeletons(seed)
+    for skel in (skel_aca, skel_gp):
+        u1, v1 = skel.u_matrix[:, 0], skel.v_matrix[:, 0]
+        assert rank_errors(a, skel, 10)[0] == _fro(a - np.outer(u1, v1)) / _fro(a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_oracle_refuses_a_zero_matrix():
+    zero = np.zeros((6, 5))
+    skel = Skeleton(
+        u_matrix=np.ones((6, 1)),
+        v_matrix=np.ones((5, 1)),
+        approx_norm=math.sqrt(30.0),
+        residual_norm=math.sqrt(30.0),
+    )
+    for oracle in (
+        lambda: svd_rank_errors(zero, 3),
+        lambda: rank_errors(zero, skel, 3),
+        lambda: relative_error(zero, skel),
+        lambda: genetic_search(zero, 1),
+    ):
+        with pytest.raises(ValueError, match="^zero matrix has no relative error$"):
+            oracle()
 
 
 def test_relative_error_dominated_by_svd():
