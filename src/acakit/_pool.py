@@ -4,21 +4,34 @@ sweep (`experiments`) and the factor vectors of a large skeleton's JSON
 
 Workers are forked from the standard library's fork server, run one
 BLAS thread each and are shut down before `pool_map` returns.
+
+`multiprocessing` and `concurrent.futures` are imported only by the
+functions that start workers (`pool_map` with more than one worker,
+`_worker_context`, `_await_fork_server_exit`), so a serial run loads
+neither.  `ProcessPoolExecutor` and `BrokenProcessPool` are module
+attributes that import on first access (`__getattr__`).
 """
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
-import multiprocessing.forkserver
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 __all__ = ["BLAS_THREAD_VARS", "pool_map"]
 
 # Set to "1" while a worker pool starts, so that each worker runs one BLAS thread.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def __getattr__(name: str):
+    """`ProcessPoolExecutor` and `BrokenProcessPool` from
+    `concurrent.futures.process`, imported when first read."""
+    if name in ("ProcessPoolExecutor", "BrokenProcessPool"):
+        from concurrent.futures import process
+
+        return getattr(process, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _usable_cpus() -> int:
@@ -43,6 +56,8 @@ def _worker_context() -> multiprocessing.context.BaseContext:
     died.  The server is process-wide: one that other code started first
     keeps its own environment and preloads.
     """
+    import multiprocessing
+
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("spawn")
     context = multiprocessing.get_context("forkserver")
@@ -87,6 +102,8 @@ def _await_fork_server_exit() -> None:
     the closed socket (ConnectionRefusedError) instead of starting a new
     server.  The exit status is left for the standard library to collect.
     """
+    import multiprocessing.forkserver
+
     pid = multiprocessing.forkserver._forkserver._forkserver_pid
     deadline = time.monotonic() + 1.0
     while pid is not None and time.monotonic() < deadline:
@@ -106,14 +123,23 @@ def pool_map(fn, items: list, workers: int) -> list:
     BrokenProcessPool (a RuntimeError) here, as does a fork server that
     dies while this call starts a worker; the next call starts a new
     server.
+
+    The serial case imports nothing.  With more workers, the first call
+    of the process imports `multiprocessing`, its fork server and
+    `concurrent.futures.process` (20 to 30 ms on 2 CPUs).
     """
     if workers == 1:
         return list(map(fn, items))
+    pool_module = sys.modules[__name__]  # names read here go through __getattr__
     context = _worker_context()
-    with _worker_environ(), ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with _worker_environ(), pool_module.ProcessPoolExecutor(
+        workers, mp_context=context
+    ) as pool:
         try:
             results = pool.map(fn, items)
         except EOFError as exc:  # from the fork server's closed socket
             _await_fork_server_exit()
-            raise BrokenProcessPool("the fork server exited while starting a worker") from exc
+            raise pool_module.BrokenProcessPool(
+                "the fork server exited while starting a worker"
+            ) from exc
         return list(results)

@@ -12,11 +12,11 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 
+from . import _pool
 from ._version import __version__
 from .acagp import CircleHeuristics, GpOptions, aca_gp, default_epsilon_r
 from .experiments import (
@@ -347,7 +347,10 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
         DenseCapExceededError,
         SingularEvaluationError,
-        BrokenProcessPool,
+        # Python evaluates this tuple only when an exception reaches it, so
+        # the lazy `_pool` attribute imports the process machinery on the
+        # error path alone, never in a serial run that succeeds.
+        _pool.BrokenProcessPool,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,7 @@ getattr, so a stale entry breaks every traced run; and an import left
 behind by a deletion is dead code.  The package root carries only
 `__version__`, so no second home for a public name can grow back.  The
 runtime depends on numpy only: importing the CLI must not load scipy, which
-tests keep as a reference.
+tests keep as a reference, and a serial run must not load the process pool.
 """
 import ast
 import importlib
@@ -78,6 +78,34 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_serial_runs_load_no_process_machinery(tmp_path):
+    """A serial `benchmark`, an `approximate` below the JSON encode gate
+    and a `genetic` run never import `multiprocessing` or
+    `concurrent.futures`: `_pool` loads them only to start workers."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = f"""
+import sys
+from acakit.cli import main
+out = {str(tmp_path)!r}
+runs = [
+    ["benchmark", "--n", "30", "--m", "30", "--realizations", "4",
+     "--out", out + "/bench.csv"],
+    ["approximate", "--gen", "xi=1,n=100,m=100,dist=2.5", "--force",
+     "--out", out + "/skel.json"],
+    ["genetic", "--n", "8", "--m", "8", "--max-rank", "2",
+     "--out", out + "/genetic.csv"],
+]
+codes = [main(argv) for argv in runs]
+roots = ("multiprocessing", "concurrent")
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] in roots))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_lowrank_import_loads_no_experiments():
