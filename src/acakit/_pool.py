@@ -1,6 +1,6 @@
-"""Worker processes for pooled work: the realizations of a benchmark or
-sweep (`experiments`) and the factor vectors of a large skeleton's JSON
-(`lowrank`).
+"""Worker processes for the realizations of a pooled benchmark or sweep
+(`experiments`).  Nothing else starts a process: `approximate` and
+`lowrank.skeleton_to_json` run in the calling process.
 
 Workers are forked from the standard library's fork server, run one
 BLAS thread each and are shut down before `pool_map` returns.

@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 
+# Largest |coordinate| of a point cloud, and largest placement distance.
+# Two such points are at most 2.9e150 apart, so squared distances (at most
+# 8e300) and with them every kernel entry stay finite and nonzero.
+MAX_COORDINATE = 1e150
+
+
 class DegenerateGeometryError(ValueError):
     """A circle construction has no well-defined solution."""
 
@@ -91,7 +97,8 @@ class PointCloud:
     the largest distance to the barycenter, at most twice the true
     diameter) are computed once at construction and cached, the aspect
     ratio once on first use; the coordinate array is frozen to keep the
-    caches consistent.
+    caches consistent.  Coordinates must be finite and at most
+    MAX_COORDINATE in magnitude.
     """
 
     points: np.ndarray
@@ -102,8 +109,11 @@ class PointCloud:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError("a point cloud is a non-empty (n, 2) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point coordinates must be finite")
+        if not np.abs(pts).max() <= MAX_COORDINATE:  # False for NaN
+            raise ValueError(
+                f"point coordinates must be finite and at most {MAX_COORDINATE:g}"
+                " in magnitude"
+            )
         pts.setflags(write=False)
         center = pts.mean(axis=0)
         center.setflags(write=False)
@@ -416,7 +426,8 @@ def place_clouds(
         xi: rectangle aspect ratio a/b in (0, 1]; the rectangles are a x b
             with b = 1.
         n, m: points in X and Y.
-        target_dist: required true distance between the clouds, > 0.
+        target_dist: required true distance between the clouds, in
+            (0, MAX_COORDINATE].
         rng: source of all randomness (draw order: Y, X, theta, direction).
 
     Returns:
@@ -424,8 +435,10 @@ def place_clouds(
     """
     if not 0.0 < xi <= 1.0:
         raise ValueError("xi must lie in (0, 1]")
-    if not (math.isfinite(target_dist) and target_dist > 0.0):
-        raise ValueError("target_dist must be finite and positive")
+    if not 0.0 < target_dist <= MAX_COORDINATE:
+        raise ValueError(
+            f"target_dist must be finite, positive and at most {MAX_COORDINATE:g}"
+        )
     a, b = xi, 1.0
     y = generate_cloud(a, b, m, rng)
     x0 = generate_cloud(a, b, n, rng)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -158,6 +159,38 @@ def test_non_finite_input_exit_code(argv, field):
     error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(error) == 1 and field in error[0]
     assert "Traceback" not in proc.stderr
+
+
+def extreme_scale_argv(command, scale, tmp_path):
+    """`command` with clouds or a placement distance near `scale`."""
+    if command == "benchmark":
+        return ["benchmark", "--n", "10", "--m", "10", "--realizations", "2",
+                "--max-rank", "3", "--dist", f"{scale:g}"]
+    if command == "approximate --gen":
+        return ["approximate", "--gen", f"xi=1,n=5,m=5,dist={scale:g}", "--force"]
+    paths = []
+    for name, sign in (("x", 1.0), ("y", -1.0)):
+        path = tmp_path / f"{name}.json"
+        points = [[sign * scale * (1.0 + 0.1 * k), float(k)] for k in range(5)]
+        path.write_text(json.dumps({"points": points}))
+        paths.append(str(path))
+    return ["approximate", "--clouds", *paths, "--force"]
+
+
+@pytest.mark.parametrize(
+    "command", ["approximate --gen", "approximate --clouds", "benchmark"]
+)
+def test_extreme_scale_exit_code(command, tmp_path, capsys):
+    """Coordinates or a distance past 1e150 would overflow the squared
+    distances and zero every kernel entry, so they are input errors: one
+    `error:` line, status 2 and no warning.  Distances of 1e100 still run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(extreme_scale_argv(command, 1e160, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "1e+150" in err
+        assert main(extreme_scale_argv(command, 1e100, tmp_path)) == 0
 
 
 @pytest.mark.parametrize(
@@ -354,10 +387,8 @@ def test_pooled_runs_in_one_process_match_serial(tmp_path, monkeypatch):
 
 
 # Run as the main module, so every worker imports it again and gets the
-# planted failures while the marker file exists; the parent keeps the real
-# functions.  A realization runs FAILURE; encoding a factor vector, which
-# every skeleton above one float takes to workers here, exits.  MAIN is
-# the main block's body.
+# planted failure while the marker file exists; the parent keeps the real
+# function.  A realization runs FAILURE.  MAIN is the main block's body.
 PLANTED_WORKER = """
 import multiprocessing
 import os
@@ -365,11 +396,8 @@ import sys
 from pathlib import Path
 
 import acakit.experiments
-import acakit.lowrank
 
 real = acakit.experiments.run_realization
-real_vector_json = acakit.lowrank._vector_json
-GATE = acakit.lowrank.MIN_FLOATS_PER_WORKER
 MARKER = Path(__file__).with_name("failing")
 
 
@@ -379,17 +407,8 @@ def planted(config, index, classical=None):
     return real(config, index, classical)
 
 
-def planted_vector_json(vector):
-    if multiprocessing.parent_process() is not None and MARKER.exists():
-        os._exit(1)
-    return real_vector_json(vector)
-
-
 acakit.experiments.run_realization = planted
 acakit.experiments._usable_cpus = lambda: 2
-acakit.lowrank._vector_json = planted_vector_json
-acakit.lowrank._usable_cpus = lambda: 2
-acakit.lowrank.MIN_FLOATS_PER_WORKER = 1
 
 if __name__ == "__main__":
     from acakit.cli import main
@@ -402,17 +421,15 @@ PLANTED_ARGS = [
 ]
 
 
-def run_planted_worker(
-    tmp_path, failure, timeout, body="sys.exit(main(sys.argv[1:]))", args=PLANTED_ARGS
-):
-    """Run the planted script on `args`, by default a pooled benchmark's;
-    its workers fail until the script deletes the marker file."""
+def run_planted_worker(tmp_path, failure, timeout, body="sys.exit(main(sys.argv[1:]))"):
+    """Run the planted script on a pooled benchmark's arguments; its
+    workers fail until the script deletes the marker file."""
     script = tmp_path / "planted_worker.py"
     script.write_text(PLANTED_WORKER.replace("FAILURE", failure).replace("MAIN", body))
     (tmp_path / "failing").touch()
     env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, str(script), *args],
+        [sys.executable, str(script), *PLANTED_ARGS],
         capture_output=True, text=True, env=env, timeout=timeout, cwd=tmp_path,
     )
 
@@ -459,37 +476,6 @@ def test_dead_worker_fails_only_its_run(tmp_path):
     assert proc.stdout.strip() == "[2, 0, 0]"
     pooled = (tmp_path / "pooled.csv").read_bytes()
     assert pooled == (tmp_path / "serial.csv").read_bytes()
-
-
-# A pooled `approximate` whose encoding worker dies, then the same call
-# pooled and, with the real gate back, serially, all in one process.
-APPROX_ARGS = [
-    "approximate", "--gen", "xi=1,n=300,m=300,dist=2.5", "--max-rank", "10",
-    "--epsilon", "1e-10", "--seed", "3", "--force",
-]
-APPROX_RECOVERY = """codes = [main(sys.argv[1:] + ["--out", "dead.json"])]
-    MARKER.unlink()
-    codes.append(main(sys.argv[1:] + ["--out", "pooled.json"]))
-    acakit.lowrank.MIN_FLOATS_PER_WORKER = GATE
-    codes.append(main(sys.argv[1:] + ["--out", "serial.json"]))
-    print(codes)"""
-
-
-def test_dead_encoder_worker_fails_only_its_approximate(tmp_path):
-    """A worker that dies while it encodes a skeleton's factors fails that
-    `approximate` call with one `error:` line and writes no file; the
-    next pooled encode in the process writes the serial bytes."""
-    proc = run_planted_worker(
-        tmp_path, "os._exit(1)", timeout=120, body=APPROX_RECOVERY, args=APPROX_ARGS
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
-    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
-    assert len(error) == 1
-    assert proc.stdout.strip().splitlines()[-1] == "[2, 0, 0]"
-    assert not (tmp_path / "dead.json").exists()
-    pooled = (tmp_path / "pooled.json").read_bytes()
-    assert pooled == (tmp_path / "serial.json").read_bytes()
 
 
 # Puts acakit on sys.path at run time, as perfbench does, runs a pooled

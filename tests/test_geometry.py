@@ -88,6 +88,16 @@ def test_cloud_requires_n_by_2_finite():
         PointCloud(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         PointCloud(np.array([[0.0, np.inf]]))
+    with pytest.raises(ValueError):
+        PointCloud(np.array([[0.0, np.nan]]))
+
+
+def test_cloud_coordinates_at_most_1e150():
+    """Squared distances between such points stay finite."""
+    assert PointCloud(np.array([[-1e150, 1e150], [1e150, -1e150]])).diameter > 0
+    for far in (1.001e150, -1e160):
+        with pytest.raises(ValueError, match="at most 1e\\+150"):
+            PointCloud(np.array([[0.0, 0.0], [far, 1.0]]))
 
 
 def test_cloud_points_are_read_only():
@@ -546,7 +556,7 @@ def test_place_clouds_validation():
         place_clouds(1.5, 10, 10, 1.0, rng)
     with pytest.raises(ValueError):
         place_clouds(1.0, 10, 10, -1.0, rng)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, 1.01e150):
         with pytest.raises(ValueError, match="target_dist must be finite"):
             place_clouds(1.0, 10, 10, bad, rng)
 

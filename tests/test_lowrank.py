@@ -1,6 +1,5 @@
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acakit._pool
-import acakit.lowrank
+from acakit._floatjson import vector_json
 from acakit.geometry import PointCloud, place_clouds
 from acakit.kernel import KernelHandle
 from acakit.lowrank import (
@@ -17,7 +16,6 @@ from acakit.lowrank import (
     PivotsExhaustedError,
     Skeleton,
     StoppingParams,
-    _json_workers,
     _SkeletonBuilder,
     aca,
     compression_ratio,
@@ -404,44 +402,71 @@ NESTED_META = {
 }
 
 
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+
 @pytest.mark.parametrize("meta", [None, NESTED_META], ids=["no-meta", "nested-meta"])
 @pytest.mark.parametrize("rank", [0, 1, 5])
 def test_skeleton_json_bytes_serial_and_pooled(rank, meta, monkeypatch):
-    """The factor vectors are encoded one by one, serially or on worker
-    processes, and the document is the bytes of one `json.dumps`."""
+    """The factor vectors are encoded one by one, in the calling process,
+    and the document is the bytes of one `json.dumps`."""
     x, y, _ = pair(21, n=40, m=30)
     skel = run_to_rank(x, y, rank, seed=21)[0] if rank else empty_skeleton(40, 30)
     assert skel.rank == rank
-    expected = dumped_payload(skel, meta)
-    assert skeleton_to_json(skel, meta) == expected
-    pools = []
-
-    class Spy(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(acakit._pool, "ProcessPoolExecutor", Spy)
-    monkeypatch.setattr(acakit.lowrank, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(acakit.lowrank, "MIN_FLOATS_PER_WORKER", 1)
-    assert skeleton_to_json(skel, meta) == expected
-    # Never more workers than the rank.
-    assert pools == ([2] if rank >= 2 else [])
-
-
-def test_skeleton_json_below_gate_starts_no_process(monkeypatch):
-    """perfbench's approx-n10000 warm-up size (n = m = 1000, k = 30) is
-    encoded in the calling process at any CPU count."""
-
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a worker pool was built")
-
     monkeypatch.setattr(acakit._pool, "ProcessPoolExecutor", NoPool)
-    monkeypatch.setattr(acakit.lowrank, "_usable_cpus", lambda: 64)
-    skel = random_skeleton(1000, 1000, 30, seed=22)
-    assert _json_workers(1000, 1000, 30) == 1
+    assert skeleton_to_json(skel, meta) == dumped_payload(skel, meta)
+
+
+def test_large_skeleton_json_starts_no_process(monkeypatch):
+    """A skeleton of 600 000 floats, the size that k = 30 at n = m = 10 000
+    gives, is encoded in the calling process."""
+    monkeypatch.setattr(acakit._pool, "ProcessPoolExecutor", NoPool)
+    skel = random_skeleton(10_000, 10_000, 30, seed=22)
     assert skeleton_to_json(skel) == dumped_payload(skel)
-    # The pinned n = 10000 size gets two workers; n = 20000 four.
-    assert _json_workers(10_000, 10_000, 30) == 2
-    assert _json_workers(20_000, 20_000, 30) == 4
+
+
+def assert_encodes_like_json(values):
+    vector = np.asarray(values, dtype=np.float64)
+    assert vector_json(vector) == json.dumps(vector.tolist())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), max_size=40))
+def test_vector_json_matches_json_dumps(values):
+    """Any float64 vector, NaN, infinities, subnormals and -0.0 included."""
+    assert_encodes_like_json(values)
+
+
+def test_vector_json_random_bit_patterns():
+    bits = np.random.default_rng(23).integers(0, 2**64, 200_000, dtype=np.uint64)
+    assert_encodes_like_json(bits.view(np.float64))
+
+
+def test_vector_json_powers_of_two():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    assert_encodes_like_json(np.concatenate([powers, -powers]))
+
+
+@pytest.mark.parametrize("places", range(16))
+def test_vector_json_short_decimals(places):
+    """Values with few significant digits, across magnitudes."""
+    rng = np.random.default_rng(24 + places)
+    values = rng.standard_normal(2000) * 10.0 ** rng.integers(-8, 12, 2000)
+    assert_encodes_like_json([round(x, places) for x in values.tolist()])
+
+
+def test_vector_json_integers_near_2_53_and_1e17():
+    steps = np.arange(-64, 65)
+    values = np.concatenate([2.0**53 + steps, 1e17 + 16.0 * steps])
+    assert_encodes_like_json(np.concatenate([values, -values]))
+
+
+def test_vector_json_repr_format_boundaries():
+    """repr switches between fixed and exponent form at 1e-4 and 1e16."""
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+    values = np.concatenate(
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]
+    )
+    assert_encodes_like_json(np.concatenate([values, -values]))

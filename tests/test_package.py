@@ -81,13 +81,16 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_serial_runs_load_no_process_machinery(tmp_path):
-    """A serial `benchmark`, an `approximate` below the JSON encode gate
-    and a `genetic` run never import `multiprocessing` or
-    `concurrent.futures`: `_pool` loads them only to start workers."""
+    """A serial `benchmark`, an `approximate`, a `genetic` run and the JSON
+    of a 600 000-float skeleton never import `multiprocessing` or
+    `concurrent.futures`: `_pool` loads them only to start workers, and
+    only pooled benchmarks and sweeps start any."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     code = f"""
 import sys
+import numpy as np
 from acakit.cli import main
+from acakit.lowrank import Skeleton, skeleton_to_json
 out = {str(tmp_path)!r}
 runs = [
     ["benchmark", "--n", "30", "--m", "30", "--realizations", "4",
@@ -98,6 +101,8 @@ runs = [
      "--out", out + "/genetic.csv"],
 ]
 codes = [main(argv) for argv in runs]
+factors = np.random.default_rng(0).standard_normal((2, 10_000, 30))
+skeleton_to_json(Skeleton(factors[0], factors[1], 1.0, 0.0))
 roots = ("multiprocessing", "concurrent")
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] in roots))
 """
@@ -108,13 +113,34 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] in roots))
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
-def test_lowrank_import_loads_no_experiments():
-    """The skeleton encoder shares the worker pool through `_pool`, not
-    through the benchmark harness."""
+def test_benchmark_loads_no_skeleton_encoder(tmp_path):
+    """The skeleton encoder is imported by the first skeleton it writes, so
+    `import acakit.cli` and a `benchmark` run never load it."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    code = "import sys, acakit.lowrank; print('acakit.experiments' in sys.modules)"
+    code = f"""
+import sys
+from acakit.cli import main
+argv = ["benchmark", "--n", "20", "--m", "20", "--realizations", "2",
+        "--out", {str(tmp_path / "bench.csv")!r}]
+print(main(argv), "acakit._floatjson" in sys.modules)
+"""
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_lowrank_import_loads_no_experiments():
+    """Skeletons and their JSON need neither the benchmark harness nor
+    the worker pool."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = (
+        "import sys, acakit.lowrank; "
+        "print({'acakit.experiments', 'acakit._pool'} & set(sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "set()"
