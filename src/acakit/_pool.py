@@ -43,26 +43,63 @@ def _usable_cpus() -> int:
 
 def _worker_context() -> multiprocessing.context.BaseContext:
     """The start method of pooled runs' workers: the fork server, where
-    the platform has one, else spawn.
+    the platform has one, else spawn.  Call it inside `_worker_environ`.
 
-    The fork server starts with the first pooled run, imports the modules
-    whose functions workers run (`experiments`, which imports `lowrank`
-    and numpy) and `numpy.random`, which numpy imports only on first use,
-    once, and lives until the calling process exits.  Every later run
-    forks its workers from it, so they start with numpy loaded and leave
-    without tearing an interpreter down.  The server runs one thread
-    (numpy with one BLAS thread, see `_worker_environ`), so forking it is
-    safe where forking the caller is not.  It is started afresh if it has
-    died.  The server is process-wide: one that other code started first
-    keeps its own environment and preloads.
+    The fork server is started here by the first pooled run, imports the
+    modules whose functions workers run (`experiments`, which imports
+    `lowrank` and numpy) and `numpy.random`, which numpy imports only on
+    first use, once, and lives until the calling process exits.  Every
+    later run forks its workers from it, so they start with numpy loaded
+    and leave without tearing an interpreter down.  The server runs one
+    thread (numpy with one BLAS thread, see `_worker_environ`), so forking
+    it is safe where forking the caller is not.  It is started afresh if
+    it has died.  The server is process-wide: one that other code started
+    first keeps its own environment and preloads.
+
+    The server, the resource tracker it starts and the workers forked from
+    it have stdout on os.devnull (`_stdout_on_devnull`); stderr is the
+    caller's, so worker tracebacks still show.
     """
     import multiprocessing
+    import multiprocessing.forkserver
 
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("spawn")
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload([f"{__package__}.experiments", "numpy.random"])
+    with _stdout_on_devnull():
+        multiprocessing.forkserver.ensure_running()
     return context
+
+
+@contextlib.contextmanager
+def _stdout_on_devnull():
+    """Point file descriptor 1 at os.devnull for the with block, after
+    flushing sys.stdout, then point it back.
+
+    A process started in the block does not hold the caller's stdout.  A
+    fork server that did would keep a pipe reading the caller's output
+    open after the caller exits, until the server itself exits.  A caller
+    whose descriptor 1 is closed has no stdout to hold, and the block
+    changes nothing.
+    """
+    if sys.stdout is not None:
+        sys.stdout.flush()
+    try:
+        saved = os.dup(1)
+    except OSError:  # descriptor 1 is closed
+        saved = None
+    if saved is None:
+        yield
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, 1)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+        os.close(devnull)
 
 
 @contextlib.contextmanager
@@ -131,9 +168,8 @@ def pool_map(fn, items: list, workers: int) -> list:
     if workers == 1:
         return list(map(fn, items))
     pool_module = sys.modules[__name__]  # names read here go through __getattr__
-    context = _worker_context()
     with _worker_environ(), pool_module.ProcessPoolExecutor(
-        workers, mp_context=context
+        workers, mp_context=_worker_context()
     ) as pool:
         try:
             results = pool.map(fn, items)

@@ -19,7 +19,7 @@ from ._pool import _usable_cpus, pool_map
 from ._version import __version__
 from .acagp import GpOptions, aca_gp, epsilon_r_rule
 from .geometry import PointCloud, place_clouds
-from .kernel import KernelHandle
+from .kernel import KernelHandle, _MatrixKernel
 from .lowrank import Skeleton, StoppingParams, aca, resolve_k_max
 from .oracle import gain, rank_errors, svd_rank_errors
 
@@ -174,15 +174,21 @@ def _stopping(config: ExperimentConfig) -> StoppingParams:
 
 
 def _classical(config: ExperimentConfig, index: int) -> _Classical:
-    """Place realization `index`, run classical ACA and take the SVD floors."""
+    """Place realization `index`, assemble its dense matrix, run classical
+    ACA and take the SVD floors.
+
+    The matrix is assembled first, on a handle of its own, so that `aca`'s
+    row and column probes are read from it (`kernel._MatrixKernel`): the
+    same values and the same count as computing them.
+    """
     rng = np.random.default_rng(config.base_seed + index)
     x, y, theta = place_clouds(
         config.xi, config.n, config.m, config.target_dist, rng
     )
     stop = _stopping(config)
-    kernel = KernelHandle()
-    skel_aca = aca(x, y, kernel, stop, rng)
     a = KernelHandle().assemble_dense(x, y)
+    kernel = _MatrixKernel(x, y, a)
+    skel_aca = aca(x, y, kernel, stop, rng)
     return _Classical(
         x=x,
         y=y,
@@ -205,6 +211,10 @@ def run_realization(
     identical clouds.  Kernel evaluations are counted per method on
     separate handles.  `classical` is `_classical(config, index)`, computed
     here when not given; a sweep passes one record to every radius.
+
+    The geometry-aided run reads its row, column and subset probes from
+    the record's dense matrix, as the classical run does; its single-entry
+    probes (the circle walks) are computed from the points.
     """
     if classical is None:
         classical = _classical(config, index)
@@ -213,7 +223,7 @@ def run_realization(
     k_max = stop.k_max
     rng = np.random.default_rng(config.base_seed + index)
     rng.bit_generator.state = classical.rng_state
-    kernel = KernelHandle()
+    kernel = _MatrixKernel(x, y, a)
     skel_gp = aca_gp(
         x, y, kernel, stop, GpOptions(epsilon_r=config.epsilon_r), rng=rng
     )

@@ -38,6 +38,14 @@ class KernelHandle:
     The counter increments by the number of scalar kernel values computed
     (m for a row, n for a column, n*m for dense assembly) and is safe to
     bump from concurrent threads.
+
+    The four vector probes (`eval_row`, `eval_col`, `eval_row_subset`,
+    `eval_col_subset`) go through one step, `_entries`.  A run that already
+    holds the dense matrix of its clouds serves them from it through
+    `_MatrixKernel`, which overrides that step alone: the entries are the
+    same bit for bit and are counted the same.  The scalar `eval` is always
+    computed from the points, because its distance, `math.sqrt(d @ d)`,
+    can differ from a matrix entry in the last bit.
     """
 
     def __init__(self):
@@ -48,14 +56,26 @@ class KernelHandle:
     def eval_count(self) -> int:
         return self._count
 
+    def _tally(self, evaluations: int) -> None:
+        with self._lock:
+            self._count += evaluations
+
     def _counted(self, dist: np.ndarray) -> np.ndarray:
         """Kernel values 1/dist, one counted evaluation per distance; a
         singular distance raises before anything is counted."""
         if dist.size and dist.min() < SINGULAR_DISTANCE:
             raise SingularEvaluationError("points closer than 1e-14")
-        with self._lock:
-            self._count += dist.size
+        self._tally(dist.size)
         return 1.0 / dist
+
+    def _entries(self, x: PointCloud, y: PointCloud, rows, cols) -> np.ndarray:
+        """Counted kappa(x_i, y_j) for i in rows and j in cols, as a vector:
+        one of rows and cols is a single index, the other an index array
+        or a slice."""
+        xs, ys = x.points[rows], y.points[cols]
+        if xs.ndim == 1:
+            return self._counted(_distances_to(ys, xs))
+        return self._counted(_distances_to(xs, ys))
 
     def eval(self, x, y) -> float:
         """Single kernel value; one counted evaluation.
@@ -67,29 +87,28 @@ class KernelHandle:
         dist = math.sqrt(float(d @ d))
         if dist < SINGULAR_DISTANCE:
             raise SingularEvaluationError("points closer than 1e-14")
-        with self._lock:
-            self._count += 1
+        self._tally(1)
         return 1.0 / dist
 
     def eval_row(self, x: PointCloud, y: PointCloud, i: int) -> np.ndarray:
         """Row i of the interaction matrix: kappa(x_i, y_j) for all j."""
-        return self._counted(_distances_to(y.points, x.points[i]))
+        return self._entries(x, y, i, slice(None))
 
     def eval_col(self, x: PointCloud, y: PointCloud, j: int) -> np.ndarray:
         """Column j of the interaction matrix: kappa(x_i, y_j) for all i."""
-        return self._counted(_distances_to(x.points, y.points[j]))
+        return self._entries(x, y, slice(None), j)
 
     def eval_row_subset(
         self, x: PointCloud, y: PointCloud, i: int, cols: np.ndarray
     ) -> np.ndarray:
         """kappa(x_i, y_j) for j in cols only."""
-        return self._counted(_distances_to(y.points[cols], x.points[i]))
+        return self._entries(x, y, i, cols)
 
     def eval_col_subset(
         self, x: PointCloud, y: PointCloud, j: int, rows: np.ndarray
     ) -> np.ndarray:
         """kappa(x_i, y_j) for i in rows only."""
-        return self._counted(_distances_to(x.points[rows], y.points[j]))
+        return self._entries(x, y, rows, j)
 
     def assemble_dense(self, x: PointCloud, y: PointCloud) -> np.ndarray:
         """Full n x m matrix; refuses more than DEFAULT_DENSE_CAP entries."""
@@ -100,3 +119,30 @@ class KernelHandle:
             )
         dist = _squared_distances(x.points, y.points)
         return self._counted(np.sqrt(dist, out=dist))
+
+
+class _MatrixKernel(KernelHandle):
+    """A handle whose vector probes read a = `assemble_dense(x, y)`.
+
+    Probes on (x, y) read a, and probes on the swapped pair (y, x), which
+    `aca_gp` makes when n < m, read a.T; any other clouds raise
+    ValueError.  The values are read-only views or gathers of a, counted
+    as the computed ones are.  They need no singular-distance test: the
+    assembly of a tested every entry.
+    """
+
+    def __init__(self, x: PointCloud, y: PointCloud, a: np.ndarray):
+        super().__init__()
+        self._x, self._y = x, y
+        self._a = a.view()
+        self._a.setflags(write=False)
+
+    def _entries(self, x: PointCloud, y: PointCloud, rows, cols) -> np.ndarray:
+        if x is self._x and y is self._y:
+            values = self._a[rows, cols]
+        elif x is self._y and y is self._x:
+            values = self._a[cols, rows]
+        else:
+            raise ValueError("clouds differ from those of the matrix")
+        self._tally(values.size)
+        return values

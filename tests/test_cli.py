@@ -525,12 +525,39 @@ def test_fork_server_preloads_numpy_and_exits_with_its_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
     server, numpy_loaded, workers = json.loads(proc.stdout)
     assert numpy_loaded and workers == []
-    # The server exits with the probe; subprocess.run returns once it has
-    # closed the probe's stdout, and the deadline covers the rest of its exit.
+    # The server exits with the probe; the deadline covers its exit.
     deadline = time.monotonic() + 5
     while running(server) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not running(server)
+
+
+CLOSED_STDOUT = """
+import sys
+
+import acakit.experiments
+from acakit.cli import main
+
+acakit.experiments._usable_cpus = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_pooled_run_with_stdout_closed(tmp_path):
+    """A pooled run whose caller has descriptor 1 closed (`>&-`) writes
+    its --out file as a serial run does."""
+    env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
+    out = {}
+    for threads in ("2", "1"):
+        out[threads] = tmp_path / f"sweep-{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", CLOSED_STDOUT, *POOL_SWEEP,
+             "--threads", threads, "--out", str(out[threads])],
+            stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert out["2"].read_bytes() == out["1"].read_bytes()
 
 
 def test_benchmark_single_realization(capsys):

@@ -2,6 +2,7 @@ import math
 import multiprocessing.forkserver
 import os
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -10,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import acakit._pool
 import acakit.experiments
@@ -24,6 +27,7 @@ from acakit.experiments import (
     RealizationResult,
     SweepPoint,
     _classical,
+    _per_rank_counts,
     _worker_count,
     aggregate,
     config_echo,
@@ -37,8 +41,8 @@ from acakit.experiments import (
 )
 from acakit.geometry import place_clouds
 from acakit.kernel import KernelHandle
-from acakit.lowrank import StoppingParams, aca
-from acakit.oracle import rank_errors
+from acakit.lowrank import StoppingParams, aca, resolve_k_max
+from acakit.oracle import gain, rank_errors, svd_rank_errors
 
 SMALL = dict(n=40, m=40, target_dist=2.0, k_max=4, epsilon_r=0.5)
 
@@ -277,16 +281,31 @@ def test_eps_sweep_shares_seeds_across_fractions():
     assert math.log10(rank2[-1] / rank2[0]) < 0.35
 
 
-def single_stream_acagp_errors(cfg, index):
-    """acagp errors of one realization whose placement, aca and aca_gp
-    draw from one generator in that order, as run_realization documents."""
+def geometric_realization(cfg, index):
+    """`run_realization(cfg, index)` as it runs with every probe computed
+    from the points: aca and aca_gp on plain KernelHandles, drawing from
+    one generator in that order, and the dense matrix assembled after."""
     rng = np.random.default_rng(cfg.base_seed + index)
-    x, y, _ = place_clouds(cfg.xi, cfg.n, cfg.m, cfg.target_dist, rng)
-    stop = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=cfg.k_max)
-    aca(x, y, KernelHandle(), stop, rng)
+    x, y, theta = place_clouds(cfg.xi, cfg.n, cfg.m, cfg.target_dist, rng)
+    k = resolve_k_max(cfg.k_max, cfg.n, cfg.m)
+    stop = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=k)
+    kern_aca, kern_gp = KernelHandle(), KernelHandle()
+    skel_aca = aca(x, y, kern_aca, stop, rng)
     opts = GpOptions(epsilon_r=cfg.epsilon_r)
-    skel = aca_gp(x, y, KernelHandle(), stop, opts, rng=rng)
-    return rank_errors(KernelHandle().assemble_dense(x, y), skel, cfg.k_max)
+    skel_gp = aca_gp(x, y, kern_gp, stop, opts, rng=rng)
+    a = KernelHandle().assemble_dense(x, y)
+    errors = {
+        "aca": rank_errors(a, skel_aca, k),
+        "acagp": rank_errors(a, skel_gp, k),
+        "svd": svd_rank_errors(a, k),
+    }
+    counts = {
+        "aca": _per_rank_counts(skel_aca, kern_aca.eval_count, k),
+        "acagp": _per_rank_counts(skel_gp, kern_gp.eval_count, k),
+        "svd": np.full(k, cfg.n * cfg.m),
+    }
+    gains = gain(errors["aca"], errors["acagp"], errors["svd"])
+    return theta, errors, counts, gains, skel_gp
 
 
 @pytest.mark.parametrize("n, m", [(40, 40), (30, 45)])
@@ -312,9 +331,8 @@ def test_eps_sweep_matches_per_radius_benchmark(n, m):
         wide = replace(cfg, epsilon_r=0.5)
         shared = run_realization(wide, i, _classical(cfg, i))
         alone = run_realization(wide, i)
-        assert np.array_equal(
-            shared.errors["acagp"], single_stream_acagp_errors(wide, i)
-        )
+        _, errors, _, _, _ = geometric_realization(wide, i)
+        assert np.array_equal(shared.errors["acagp"], errors["acagp"])
         assert shared.theta == alone.theta
         assert shared.central_row_count == alone.central_row_count
         assert shared.central_col_count == alone.central_col_count
@@ -324,6 +342,51 @@ def test_eps_sweep_matches_per_radius_benchmark(n, m):
                 shared.eval_counts[method], alone.eval_counts[method]
             )
         assert np.array_equal(shared.gains, alone.gains, equal_nan=True)
+
+
+@st.composite
+def realization_configs(draw):
+    """One-realization configs with n < m, n = m or n > m in [12, 40]."""
+    n = draw(st.integers(12, 40), label="n")
+    order = draw(st.sampled_from(["n<m", "n=m", "n>m"]), label="order")
+    if order == "n=m":
+        m = n
+    elif order == "n<m":
+        assume(n < 40)
+        m = draw(st.integers(n + 1, 40), label="m")
+    else:
+        assume(n > 12)
+        m = draw(st.integers(12, n - 1), label="m")
+    return ExperimentConfig(
+        xi=draw(st.sampled_from([1.0, 0.4]), label="xi"),
+        n=n,
+        m=m,
+        target_dist=draw(st.floats(0.5, 4.0), label="target_dist"),
+        realizations=1,
+        k_max=draw(st.integers(1, 6), label="k_max"),
+        epsilon_r=draw(st.floats(0.0, 1.0, exclude_min=True), label="epsilon_r"),
+        base_seed=draw(st.integers(0, 2**32 - 1), label="base_seed"),
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cfg=realization_configs())
+def test_realization_equals_geometric_reference(cfg):
+    """Probes read from the realization's dense matrix give the run that
+    probes computed from the points give: the same errors, evaluation
+    counts, gains, angle and central pools, bit for bit.  For n < m
+    aca_gp probes the swapped pair, which reads the matrix transposed."""
+    result = run_realization(cfg, 0)
+    theta, errors, counts, gains, skel_gp = geometric_realization(cfg, 0)
+    assert result.theta == theta
+    for method in METHODS:
+        np.testing.assert_array_equal(result.errors[method], errors[method])
+        np.testing.assert_array_equal(result.eval_counts[method], counts[method])
+    np.testing.assert_array_equal(result.gains, gains)
+    np.testing.assert_array_equal(
+        [result.central_row_count, result.central_col_count],
+        [skel_gp.central_row_count, skel_gp.central_col_count],
+    )
 
 
 def test_eps_sweep_computes_each_aspect_ratio_once(monkeypatch):
@@ -403,6 +466,52 @@ def test_pooled_realizations_match_serial_and_restore_environ(monkeypatch):
             assert np.array_equal(a.errors[method], b.errors[method])
             assert np.array_equal(a.eval_counts[method], b.eval_counts[method])
         assert np.array_equal(a.gains, b.gains, equal_nan=True)
+
+
+@st.composite
+def pooled_sweeps(draw):
+    """Sweep configs and grids of at least 200 runs, so that two workers
+    pass the gate, on clouds of at most 20 points and k_max <= 3."""
+    grid = draw(
+        st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=9),
+        label="grid",
+    )
+    least = -(-200 // len(grid))
+    cfg = ExperimentConfig(
+        n=draw(st.integers(6, 20), label="n"),
+        m=draw(st.integers(6, 20), label="m"),
+        target_dist=draw(st.floats(1.0, 3.0), label="target_dist"),
+        realizations=draw(st.integers(least, least + 20), label="realizations"),
+        k_max=draw(st.integers(1, 3), label="k_max"),
+        base_seed=draw(st.integers(0, 2**32 - 1), label="base_seed"),
+    )
+    return cfg, grid
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(sweep=pooled_sweeps())
+def test_pooled_sweeps_match_serial(sweep):
+    """A sweep's points do not depend on the worker count; the pooled
+    run reads its probes from the dense matrix inside the workers."""
+    cfg, grid = sweep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
+        assert _worker_count(2, cfg.realizations, len(grid)) == 2
+        pooled = run_eps_sweep(cfg, grid, threads=2)
+    assert pooled == run_eps_sweep(cfg, grid, threads=1)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_fork_server_does_not_hold_stdout(monkeypatch):
+    """The fork server runs with stdout on os.devnull, so a pipe reading
+    a pooled run's output ends when the run's process exits.  stderr
+    stays the caller's, so worker tracebacks still show."""
+    monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
+    cfg = ExperimentConfig(realizations=200, n=12, m=12, target_dist=2.0, k_max=2)
+    run_realizations(cfg, threads=2)
+    server = multiprocessing.forkserver._forkserver._forkserver_pid
+    assert os.readlink(f"/proc/{server}/fd/1") == os.devnull
+    assert os.readlink(f"/proc/{server}/fd/2") != os.devnull
 
 
 def test_pooled_worker_starts_with_numpy_random_imported():

@@ -9,7 +9,13 @@ from acakit.kernel import (
     DenseCapExceededError,
     KernelHandle,
     SingularEvaluationError,
+    _MatrixKernel,
 )
+
+# The handles a probe test runs on: "geometric" computes every value from
+# the points, "matrix" reads a matrix handle built on (x, y), and
+# "transposed" one built on (y, x), which serves (x, y) from its a.T.
+HANDLES = ("geometric", "matrix", "transposed")
 
 
 def small_pair(seed=0, n=15, m=12, dist=2.0):
@@ -51,35 +57,95 @@ def scaled(x, y, scale):
     return PointCloud(scale * x.points), PointCloud(scale * y.points)
 
 
-@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
-def test_rows_cols_and_dense_agree(scale):
+def handle(kind, x, y):
+    """A fresh handle of HANDLES kind `kind` for probing (x, y)."""
+    if kind == "geometric":
+        return KernelHandle()
+    if kind == "matrix":
+        return _MatrixKernel(x, y, KernelHandle().assemble_dense(x, y))
+    return _MatrixKernel(y, x, KernelHandle().assemble_dense(y, x))
+
+
+def over_handles(*values):
+    """(value, kind) parameters for every value and handle kind.  The
+    geometric cases keep the value's own test id."""
+    return [
+        pytest.param(
+            value, kind, id=str(value) if kind == "geometric" else f"{kind}-{value}"
+        )
+        for kind in HANDLES
+        for value in values
+    ]
+
+
+@pytest.mark.parametrize("scale, kind", over_handles(1e-8, 1.0, 1e8))
+def test_rows_cols_and_dense_agree(scale, kind):
     x, y = scaled(*small_pair(), scale)
-    k = KernelHandle()
-    a = k.assemble_dense(x, y)
+    k = handle(kind, x, y)
+    a = KernelHandle().assemble_dense(x, y)
     for i in range(len(x)):
         np.testing.assert_array_equal(k.eval_row(x, y, i), a[i])
     for j in range(len(y)):
         np.testing.assert_array_equal(k.eval_col(x, y, j), a[:, j])
+    assert k.eval_count == 2 * a.size
 
 
-@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
-def test_subsets_match_dense(scale):
+@pytest.mark.parametrize("scale, kind", over_handles(1e-8, 1.0, 1e8))
+def test_subsets_match_dense(scale, kind):
     x, y = scaled(*small_pair(seed=3), scale)
-    k = KernelHandle()
-    a = k.assemble_dense(x, y)
+    k = handle(kind, x, y)
+    a = KernelHandle().assemble_dense(x, y)
     cols = np.array([0, 3, 7])
     rows = np.array([1, 2, 9])
     np.testing.assert_array_equal(k.eval_row_subset(x, y, 4, cols), a[4, cols])
     np.testing.assert_array_equal(k.eval_col_subset(x, y, 5, rows), a[rows, 5])
+    assert k.eval_count == cols.size + rows.size
 
 
-@pytest.mark.parametrize("probe", ["eval_row_subset", "eval_col_subset"])
-def test_empty_subset_is_empty_and_uncounted(probe):
+@pytest.mark.parametrize(
+    "probe, kind", over_handles("eval_row_subset", "eval_col_subset")
+)
+def test_empty_subset_is_empty_and_uncounted(probe, kind):
     x, y = small_pair()
-    k = KernelHandle()
+    k = handle(kind, x, y)
     values = getattr(k, probe)(x, y, 0, np.array([], dtype=int))
     assert values.shape == (0,)
     assert k.eval_count == 0
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda k, x, y: k.eval_row(x, y, 0),
+        lambda k, x, y: k.eval_col(x, y, 0),
+        lambda k, x, y: k.eval_row_subset(x, y, 0, np.array([1, 0])),
+        lambda k, x, y: k.eval_col_subset(x, y, 0, np.array([1, 0])),
+    ],
+    ids=["eval_row", "eval_col", "eval_row_subset", "eval_col_subset"],
+)
+def test_matrix_handle_refuses_other_clouds(probe):
+    """A matrix handle serves its own cloud pair, in either order, and
+    raises ValueError for any other, even one with the same points."""
+    x, y = small_pair()
+    k = _MatrixKernel(x, y, KernelHandle().assemble_dense(x, y))
+    twin = PointCloud(x.points.copy())
+    for other in [(twin, y), (y, twin), (x, x), (y, y)]:
+        with pytest.raises(ValueError, match="clouds"):
+            probe(k, *other)
+    assert k.eval_count == 0
+    probe(k, x, y)
+    probe(k, y, x)
+    assert k.eval_count > 0
+
+
+def test_matrix_handle_values_are_read_only():
+    x, y = small_pair()
+    a = KernelHandle().assemble_dense(x, y)
+    k = _MatrixKernel(x, y, a)
+    for values in (k.eval_row(x, y, 1), k.eval_col(y, x, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+    assert a.flags.writeable
 
 
 def test_assemble_dense_single_entry():
@@ -145,11 +211,12 @@ def test_singular_pair_raises_and_counts_nothing(call):
     assert k.eval_count == 2
 
 
-def test_eval_counter_arithmetic():
+@pytest.mark.parametrize("kind", HANDLES)
+def test_eval_counter_arithmetic(kind):
     """The counter reports scalar kernel values: 1 per eval, m per row,
     n per column, len per subset, n*m per dense block."""
     x, y = small_pair(seed=1, n=9, m=7)
-    k = KernelHandle()
+    k = handle(kind, x, y)
     assert k.eval_count == 0
     k.eval(x.points[0], y.points[0])
     assert k.eval_count == 1
