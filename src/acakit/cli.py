@@ -28,12 +28,7 @@ from .experiments import (
     run_benchmark,
     run_eps_sweep,
 )
-from .geometry import (
-    AdmissibilityParams,
-    cloud_from_json,
-    is_admissible,
-    place_clouds,
-)
+from .geometry import cloud_from_json, is_admissible, place_clouds
 from .kernel import DenseCapExceededError, KernelHandle, SingularEvaluationError
 from .lowrank import (
     StoppingParams,
@@ -114,8 +109,7 @@ def _load_clouds(args, rng):
 def _cmd_approximate(args) -> int:
     rng = np.random.default_rng(args.seed)
     x, y = _load_clouds(args, rng)
-    params = AdmissibilityParams(eta=args.eta)
-    if not is_admissible(x, y, params):
+    if not is_admissible(x, y, args.eta):
         if not args.force:
             print(
                 f"error: clouds fail the admissibility test (eta={args.eta});"

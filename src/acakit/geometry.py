@@ -17,11 +17,9 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "AdmissibilityParams",
     "Circle",
     "DegenerateGeometryError",
     "PointCloud",
-    "bounding_aspect_ratio",
     "circumcircle",
     "cloud_from_json",
     "cloud_to_json",
@@ -29,7 +27,6 @@ __all__ = [
     "generate_cloud",
     "is_admissible",
     "place_clouds",
-    "true_distance",
 ]
 
 
@@ -61,19 +58,6 @@ class Circle:
             raise ValueError("circle radius must be finite and positive")
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
-
-
-@dataclass(frozen=True)
-class AdmissibilityParams:
-    """Separation parameter eta > 0 and the derived ratio alpha = eta/(1+eta)."""
-
-    eta: float = 1.0
-    alpha: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError("eta must be finite and positive")
-        object.__setattr__(self, "alpha", self.eta / (1.0 + self.eta))
 
 
 def _cross2(u: np.ndarray, v: np.ndarray) -> float:
@@ -127,8 +111,26 @@ class PointCloud:
 
     @cached_property
     def aspect_ratio(self) -> float:
-        """`bounding_aspect_ratio` of this cloud."""
-        return bounding_aspect_ratio(self)
+        """Aspect ratio (short side / long side) of the minimum-area oriented
+        bounding rectangle of the cloud.
+
+        1.0 means square-like, values near 0 mean elongated.  Degenerate
+        clouds (fewer than three distinct points, or all collinear) give
+        0.0; a single point gives 1.0.  One side of the optimal rectangle
+        lies on a hull edge, so every edge is tried at once.
+        """
+        if len(self) == 1:
+            return 1.0
+        hull = _hull(self.points)
+        if len(hull) < 3:
+            return 0.0  # collinear: zero-width rectangle
+        hull -= hull.mean(axis=0)
+        edges = np.roll(hull, -1, axis=0) - hull
+        # Extents along and across each edge, both scaled by its length.
+        along = np.ptp(edges @ hull.T, axis=1)
+        across = np.ptp((edges[:, ::-1] * (-1.0, 1.0)) @ hull.T, axis=1)
+        k = int(np.argmin(along * across / np.einsum("ij,ij->i", edges, edges)))
+        return float(min(along[k], across[k]) / max(along[k], across[k]))
 
     def transformed(self, theta: float = 0.0, shift=(0.0, 0.0)) -> "PointCloud":
         """Rigidly move the cloud: rotate by theta about its barycenter,
@@ -231,31 +233,20 @@ def _cloud_gap(
     return math.sqrt(best)
 
 
-def true_distance(x: PointCloud, y: PointCloud) -> float:
-    """Smallest pairwise distance between the two clouds, exact.
-
-    Costs O(n + m) plus a scan of the pairs in two slabs facing each other
-    (see `_cloud_gap`).  When the clouds interleave, the slabs hold both
-    clouds and the scan takes O(nm) time; memory stays O(n + m) plus one
-    block of GAP_BLOCK pairs.
-    """
-    return _cloud_gap(x.points, y.points)
-
-
-def is_admissible(
-    x: PointCloud, y: PointCloud, params: AdmissibilityParams | None = None
-) -> bool:
+def is_admissible(x: PointCloud, y: PointCloud, eta: float = 1.0) -> bool:
     """Separation test in reduced form:
 
         min(diam X, diam Y) <= alpha * |bary X - bary Y|,
 
     with alpha = eta/(1+eta), equivalent to the usual far-field criterion
     min(diam) <= eta * dist(X, Y) once dist is relaxed to the barycenter
-    separation minus the smaller diameter.
+    separation minus the smaller diameter.  eta must be finite and
+    positive.
     """
-    params = params or AdmissibilityParams()
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError("eta must be finite and positive")
     gap = float(np.linalg.norm(x.barycenter - y.barycenter))
-    return min(x.diameter, y.diameter) <= params.alpha * gap
+    return min(x.diameter, y.diameter) <= eta / (1.0 + eta) * gap
 
 
 # --- circles -----------------------------------------------------------
@@ -365,36 +356,16 @@ def _hull(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def bounding_aspect_ratio(cloud: PointCloud) -> float:
-    """Aspect ratio (short side / long side) of the minimum-area oriented
-    bounding rectangle of the cloud.
-
-    1.0 means square-like, values near 0 mean elongated.  Degenerate
-    clouds (fewer than three distinct points, or all collinear) return
-    0.0; a single point returns 1.0.  One side of the optimal rectangle
-    lies on a hull edge, so every edge is tried at once.
-    """
-    if len(cloud) == 1:
-        return 1.0
-    hull = _hull(cloud.points)
-    if len(hull) < 3:
-        return 0.0  # collinear: zero-width rectangle
-    hull -= hull.mean(axis=0)
-    edges = np.roll(hull, -1, axis=0) - hull
-    # Extents along and across each edge, both scaled by its length.
-    along = np.ptp(edges @ hull.T, axis=1)
-    across = np.ptp((edges[:, ::-1] * (-1.0, 1.0)) @ hull.T, axis=1)
-    k = int(np.argmin(along * across / np.einsum("ij,ij->i", edges, edges)))
-    return float(min(along[k], across[k]) / max(along[k], across[k]))
-
-
 # --- random clouds -----------------------------------------------------
 
 def generate_cloud(
     width: float, height: float, count: int, rng: np.random.Generator
 ) -> PointCloud:
     """Uniform i.i.d. points in the centered rectangle
-    [-width/2, width/2] x [-height/2, height/2]."""
+    [-width/2, width/2] x [-height/2, height/2].
+
+    Public as the documented draw of each cloud of `place_clouds`.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
     if width <= 0.0 or height <= 0.0:
@@ -421,6 +392,11 @@ def place_clouds(
     O(n + m) plus a scan of the pairs in two slabs facing each other (see
     `_cloud_gap`); only clouds that interleave make it O(nm) time.  Memory
     stays O(n + m) plus one block of GAP_BLOCK pairs.
+
+    The push keeps X's shape only while it leaves distinct points distinct
+    (at seed 0, 200 points survive a target of 1e13 and 50 points 1e14); a
+    target that merges them raises ValueError, as does one the clouds
+    cannot reach.
 
     Args:
         xi: rectangle aspect ratio a/b in (0, 1]; the rectangles are a x b
@@ -465,24 +441,42 @@ def place_clouds(
         d_lo = dist_at(lo)
         if d_lo > target_dist:
             raise ValueError("target distance unreachable for these clouds")
-    if abs(d_lo - target_dist) <= 1e-3:
-        return PointCloud(x0.points + lo * direction), y, theta
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        d_mid = dist_at(mid)
-        if abs(d_mid - target_dist) <= 1e-3:
-            break
-        if d_mid < target_dist:
-            lo = mid
-        else:
-            hi = mid
-    return PointCloud(x0.points + mid * direction), y, theta
+    t = lo
+    if abs(d_lo - target_dist) > 1e-3:
+        for _ in range(60):
+            t = 0.5 * (lo + hi)
+            d_mid = dist_at(t)
+            if abs(d_mid - target_dist) <= 1e-3:
+                break
+            if d_mid < target_dist:
+                lo = t
+            else:
+                hi = t
+    points = x0.points + t * direction
+    distinct = _distinct_count(points)
+    if distinct < len(points) and distinct < _distinct_count(x0.points):
+        raise ValueError(
+            f"target_dist {target_dist:g} is too far: the push merges distinct"
+            " points of X"
+        )
+    return PointCloud(points), y, theta
+
+
+def _distinct_count(points: np.ndarray) -> int:
+    """Number of distinct rows of an (n, 2) array: one lexsort and a
+    neighbour compare, a fifth of `np.unique(axis=0)`'s time at n = 200."""
+    s = points[np.lexsort((points[:, 1], points[:, 0]))]
+    return 1 + int(np.count_nonzero((s[1:] != s[:-1]).any(axis=1)))
 
 
 # --- JSON --------------------------------------------------------------
 
 def cloud_to_json(cloud: PointCloud) -> str:
-    """Serialize as {"points": [[x, y], ...]} at full double precision."""
+    """Serialize as {"points": [[x, y], ...]} at full double precision.
+
+    Public as the writer of the `approximate --clouds` file format, which
+    `cloud_from_json` reads.
+    """
     return json.dumps({"points": cloud.points.tolist()})
 
 

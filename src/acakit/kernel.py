@@ -81,7 +81,12 @@ class KernelHandle:
         """Single kernel value; one counted evaluation.
 
         The distance is the dot product and square root that
-        `np.linalg.norm` takes for one vector, on Python floats.
+        `np.linalg.norm` takes for one vector, on Python floats.  Pinned
+        outputs depend on these bits: the circle walks of `aca_gp` compare
+        single probes, and computing the distance as
+        `math.sqrt(dx*dx + dy*dy)` instead moves the bytes of the seed-42
+        `sweep-central` CSV (`tests/test_acceptance.py` pins them).  A
+        probe merged into the vector primitive must keep them.
         """
         d = _as_xy(x) - _as_xy(y)
         dist = math.sqrt(float(d @ d))

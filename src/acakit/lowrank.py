@@ -25,7 +25,6 @@ __all__ = [
     "aca",
     "compression_ratio",
     "dense",
-    "pivot_row_rule",
     "resolve_k_max",
     "skeleton_to_json",
     "update_norms",
@@ -144,6 +143,9 @@ def update_norms(
     so the norm update costs O(k(n+m)) instead of O(nm).  Floating-point
     cancellation can push the radicand below zero; it is clamped to zero
     and flagged.
+
+    Public as the oracle of acceptance criterion 3, which replays each
+    skeleton's crosses through it against the assembled norm.
     """
     norm_u = math.sqrt(float(u_new @ u_new))
     norm_v = math.sqrt(float(v_new @ v_new))
@@ -154,27 +156,6 @@ def update_norms(
     if clamped:
         radicand = 0.0
     return NormUpdate(math.sqrt(radicand), residual_norm, clamped)
-
-
-def pivot_row_rule(
-    used_rows: np.ndarray,
-    prev_u: np.ndarray | None,
-    rng: np.random.Generator,
-) -> int:
-    """Next pivot row for the classical method.
-
-    The first row is drawn uniformly from the unused rows; afterwards the
-    unused row with the largest entry of the previous scaled column wins,
-    ties going to the smallest index.
-    """
-    if used_rows.all():
-        raise PivotsExhaustedError("all rows used")
-    if prev_u is None:
-        unused = np.flatnonzero(~used_rows)
-        return int(unused[rng.integers(unused.size)])
-    scores = np.abs(prev_u)
-    scores[used_rows] = -1.0
-    return int(np.argmax(scores))
 
 
 class _SkeletonBuilder:
@@ -304,12 +285,14 @@ def aca(
 ) -> Skeleton:
     """Cross approximation with partially pivoted greedy selection.
 
-    Each step evaluates one residual row (chosen by pivot_row_rule), takes
-    the largest unused entry as the pivot column, evaluates that residual
-    column, and appends the scaled cross.  A row whose remaining entries
-    all sit at the pivot floor is skipped without spending a rank (its m
-    evaluations are still counted); `aca_gp` instead ends its run at a
-    floor-level pivot.  Without skipped rows, rank k costs exactly k(n+m)
+    Each step evaluates one residual row, takes the largest unused entry as
+    the pivot column, evaluates that residual column, and appends the
+    scaled cross.  The first row is drawn uniformly from the unused rows;
+    afterwards the unused row with the largest entry of the previous scaled
+    column wins, ties going to the smallest index.  A row whose remaining
+    entries all sit at the pivot floor is skipped without spending a rank
+    (its m evaluations are still counted); `aca_gp` instead ends its run at
+    a floor-level pivot.  Without skipped rows, rank k costs exactly k(n+m)
     kernel evaluations.
 
     Returns the skeleton accumulated so far when rows or columns run out.
@@ -319,12 +302,14 @@ def aca(
     builder = _SkeletonBuilder(x, y, kernel, k_max)
     used_rows = np.zeros(n, dtype=bool)
     used_cols = np.zeros(m, dtype=bool)
-    prev_u: np.ndarray | None = None
-    while builder.rank < k_max:
-        try:
-            i_k = pivot_row_rule(used_rows, prev_u, rng)
-        except PivotsExhaustedError:
-            break
+    while builder.rank < k_max and not used_rows.all():
+        if builder.rank == 0:
+            unused = np.flatnonzero(~used_rows)
+            i_k = int(unused[rng.integers(unused.size)])
+        else:
+            scores = np.abs(builder._u[:, builder.rank - 1])
+            scores[used_rows] = -1.0
+            i_k = int(np.argmax(scores))
         row = builder.residual_row(i_k)
         used_rows[i_k] = True
         scores = np.abs(row)
@@ -337,7 +322,6 @@ def aca(
         used_cols[j_k] = True
         selector = "random" if builder.rank == 0 else "partial"
         builder.add_cross(i_k, j_k, pivot, row, col, selector)
-        prev_u = builder._u[:, builder.rank - 1]
         if builder.converged(stop.epsilon):
             break
     return builder.build()

@@ -47,7 +47,10 @@ def svd_rank_errors(a: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def relative_error(a: np.ndarray, skeleton: Skeleton) -> float:
-    """|A - U V^T|_F / |A|_F against the dense matrix."""
+    """|A - U V^T|_F / |A|_F against the dense matrix.
+
+    Public for the README quick start, which measures a skeleton with it.
+    """
     fro = _nonzero_fro(a)
     return _fro(a - dense(skeleton)) / fro
 

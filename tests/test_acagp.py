@@ -706,6 +706,72 @@ def test_drivers_cross_interpolate_random_clouds(n, m, data, dist, eps_r, mode, 
         assert r[:, list(skel.pivot_cols)].max() <= tol
 
 
+def degenerate_cloud(kind, size, scale, rng, shift):
+    """`size` points of the unit square, moved onto the line y = x / 2
+    ("collinear") or drawn as a quarter as many points each repeated
+    ("duplicated"), shifted and then scaled by `scale`."""
+    pts = rng.uniform(-0.5, 0.5, size=(size, 2))
+    if kind == "collinear":
+        pts[:, 1] = 0.5 * pts[:, 0]
+    elif kind == "duplicated":
+        pts = pts[np.arange(size) % max(1, size // 4)]
+    return PointCloud(scale * (pts + shift))
+
+
+def assert_budget(skel, kernel, n, m, k, pools=None):
+    """The evaluation budget of `aca` (pools None) or of `aca_gp`."""
+    counts = skel.rank_eval_counts
+    if pools is None:
+        steps = np.diff((0,) + counts) - (n + m)
+        assert np.all(steps >= 0) and np.all(steps % m == 0)
+        if skel.rank == k:
+            assert kernel.eval_count == counts[-1]
+        else:
+            assert kernel.eval_count == n * m + skel.rank * n
+    else:
+        bounds = [r * (n + m) + r * pools + n + m for r in range(1, skel.rank + 1)]
+        assert all(c <= b for c, b in zip(counts, bounds))
+        assert kernel.eval_count <= bounds[-1]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 24),
+    m=st.integers(1, 24),
+    data=st.data(),
+    kind=st.sampled_from(["collinear", "duplicated"]),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+    eps_r=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_drivers_on_degenerate_clouds(n, m, data, kind, scale, eps_r, seed):
+    """Single points, collinear or repeated points at scales 1e-8 to 1e8:
+    both drivers, `aca_gp` in every circle mode, keep the rank within
+    min(n, m), pivots distinct, A - U V^T at most 1e-8 * max|a| on every
+    pivot row and column, and their evaluation budgets."""
+    k = data.draw(st.integers(1, min(n, m)), label="k_max")
+    rng = np.random.default_rng(seed)
+    x = degenerate_cloud(kind, n, scale, rng, (0.0, 0.0))
+    y = degenerate_cloud(kind, m, scale, rng, (2.0, 1.0))
+    a = KernelHandle().assemble_dense(x, y)
+    stop = StoppingParams(epsilon=1e-30, k_max=k)
+    kernel = KernelHandle()
+    runs = [(aca(x, y, kernel, stop, rng), kernel, None)]
+    for mode in CircleHeuristics:
+        kernel = KernelHandle()
+        opts = GpOptions(epsilon_r=eps_r, use_circle_heuristics=mode)
+        skel = aca_gp(x, y, kernel, stop, opts, rng=rng)
+        runs.append((skel, kernel, skel.central_row_count + skel.central_col_count))
+    for skel, kernel, pools in runs:
+        assert 1 <= skel.rank <= min(n, m, k)
+        assert len(set(skel.pivot_rows)) == len(set(skel.pivot_cols)) == skel.rank
+        r = np.abs(a - dense(skel))
+        tol = 1e-8 * np.abs(a).max()
+        assert r[list(skel.pivot_rows)].max() <= tol
+        assert r[:, list(skel.pivot_cols)].max() <= tol
+        assert_budget(skel, kernel, n, m, k, pools)
+
+
 def test_acagp_epsilon_stop():
     x, y, _ = pair(18, n=80, m=80, dist=5.0)
     skel = aca_gp(

@@ -2,22 +2,29 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside the pytest verdicts.  Criterion 5 is a soft check and
-reports PASS/WARN without ever failing the suite.
+reports PASS/WARN without ever failing the suite.  The last three tests
+pin the bytes of the seed-42 outputs whose hashes the benchmark records
+in perfbench/expected.json.
 """
 
+import hashlib
+import json
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acakit.acagp import GpOptions, aca_gp
+from acakit.cli import main
 from acakit.experiments import (
     ExperimentConfig,
     aggregate,
     epsilon_r_rule,
+    render_benchmark_csv,
     run_realization,
     run_realizations,
 )
@@ -307,3 +314,45 @@ def test_criterion_10_rule_of_thumb():
     ok = abs(value - 0.1581) <= 1e-3
     report(10, ok, f"epsilon_r_rule(10, 400)/2 = {value:.4f}")
     assert ok
+
+
+# --- pinned output bytes ------------------------------------------------
+
+# Read only: the benchmark's record of each workload's seed-42 output.
+EXPECTED_SHA256 = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+)["sha256"]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_pinned_benchmark_csv_bytes(reference_run):
+    """The pinned benchmark's CSV, as `acakit benchmark` writes it."""
+    config, _, stats = reference_run
+    csv = render_benchmark_csv(stats, config)
+    assert sha256(csv.encode()) == EXPECTED_SHA256["stats-n200"]
+
+
+def test_pinned_sweep_csv_bytes(tmp_path):
+    """sweep-central's default 9 radii over 50 realizations at n = m = 200."""
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-central", "--n", "200", "--m", "200", "--dist", "1.5",
+            "--realizations", "50", "--max-rank", "10", "--threads", "1",
+            "--seed", "42", "--out", str(out)]
+    assert main(argv) == 0
+    assert sha256(out.read_bytes()) == EXPECTED_SHA256["sweep-n200"]
+
+
+def test_pinned_approximate_json_bytes(tmp_path):
+    """The n = m = 10 000 acagp skeleton JSON, then the aca one."""
+    blobs = []
+    for method in ("acagp", "aca"):
+        out = tmp_path / f"{method}.json"
+        argv = ["approximate", "--gen", "xi=1,n=10000,m=10000,dist=1.5",
+                "--max-rank", "30", "--epsilon", "1e-10", "--seed", "42",
+                "--method", method, "--force", "--out", str(out)]
+        assert main(argv) == 0
+        blobs.append(out.read_bytes())
+    assert sha256(b"".join(blobs)) == EXPECTED_SHA256["approx-n10000"]

@@ -145,6 +145,7 @@ def test_approximate_unreachable_target_exit_code():
     "argv, field",
     [
         (["benchmark", "--realizations", "2", "--eta", "nan"], "eta"),
+        (["approximate", "--gen", "xi=1,n=20,m=20,dist=2", "--eta", "nan"], "eta"),
         (["benchmark", "--realizations", "2", "--dist", "nan"], "target_dist"),
         (["sweep-central", "--realizations", "2", "--dist", "inf"], "target_dist"),
         (["approximate", "--gen", "xi=1,n=50,m=50,dist=inf", "--force"], "target_dist"),
@@ -183,14 +184,33 @@ def extreme_scale_argv(command, scale, tmp_path):
 def test_extreme_scale_exit_code(command, tmp_path, capsys):
     """Coordinates or a distance past 1e150 would overflow the squared
     distances and zero every kernel entry, so they are input errors: one
-    `error:` line, status 2 and no warning.  Distances of 1e100 still run."""
+    `error:` line, status 2 and no warning.  Cloud files at 1e100 still
+    run; placement keeps 5 or 10 points apart up to a distance of 1e12 (it
+    refuses 1e100, see test_merging_placement_exit_code)."""
+    runs = 1e100 if command == "approximate --clouds" else 1e12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(extreme_scale_argv(command, 1e160, tmp_path)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "1e+150" in err
-        assert main(extreme_scale_argv(command, 1e100, tmp_path)) == 0
+        assert main(extreme_scale_argv(command, runs, tmp_path)) == 0
+
+
+@pytest.mark.parametrize("command", ["approximate", "benchmark"])
+def test_merging_placement_exit_code(command):
+    """A placement distance so far that distinct points of X round to one
+    point is an input error, not a skeleton of another matrix."""
+    if command == "approximate":
+        argv = ["approximate", "--gen", "xi=1,n=5,m=5,dist=1e100", "--force"]
+    else:
+        argv = ["benchmark", "--n", "10", "--m", "10", "--realizations", "2",
+                "--max-rank", "3", "--dist", "1e100"]
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1 and "merges distinct points of X" in error[0]
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -390,14 +390,15 @@ def test_realization_equals_geometric_reference(cfg):
 
 
 def test_eps_sweep_computes_each_aspect_ratio_once(monkeypatch):
+    # `PointCloud.aspect_ratio` is the only caller of the hull in `src`.
     calls = []
-    real = acakit.geometry.bounding_aspect_ratio
+    real = acakit.geometry._hull
 
-    def counted(cloud):
-        calls.append(cloud)
-        return real(cloud)
+    def counted(points):
+        calls.append(points)
+        return real(points)
 
-    monkeypatch.setattr(acakit.geometry, "bounding_aspect_ratio", counted)
+    monkeypatch.setattr(acakit.geometry, "_hull", counted)
     cfg = ExperimentConfig(realizations=3, **SMALL)
     run_eps_sweep(cfg, [round(0.1 + 0.05 * i, 12) for i in range(9)])
     # Square clouds pass the aspect test, so both clouds are measured:

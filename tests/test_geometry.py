@@ -9,15 +9,15 @@ from scipy.spatial.distance import cdist
 
 import acakit.geometry
 from acakit.geometry import (
-    AdmissibilityParams,
     Circle,
     DegenerateGeometryError,
     PointCloud,
     _circle_distances,
+    _cloud_gap,
+    _distinct_count,
     _distances_to,
     _hull,
     _squared_distances,
-    bounding_aspect_ratio,
     circumcircle,
     cloud_from_json,
     cloud_to_json,
@@ -25,7 +25,6 @@ from acakit.geometry import (
     generate_cloud,
     is_admissible,
     place_clouds,
-    true_distance,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -75,10 +74,19 @@ def test_circle_requires_positive_radius():
 
 
 def test_admissibility_params_alpha():
-    assert AdmissibilityParams(eta=1.0).alpha == 0.5
-    assert AdmissibilityParams(eta=3.0).alpha == 0.75
-    with pytest.raises(ValueError):
-        AdmissibilityParams(eta=0.0)
+    """eta sets alpha = eta / (1 + eta).  Clouds of diameter sqrt(2) whose
+    barycenters are s sqrt(2) apart pass from s = 2 with alpha 1/2 (eta = 1,
+    the default) and from s = 4/3 with alpha 3/4 (eta = 3)."""
+    x = PointCloud(np.array([[-0.5, -0.5], [0.5, 0.5]]))
+    assert is_admissible(x, x.transformed(shift=(2.01, 2.01)))
+    assert not is_admissible(x, x.transformed(shift=(1.99, 1.99)))
+    near = x.transformed(shift=(1.34, 1.34))
+    assert is_admissible(x, near, eta=3.0)
+    assert not is_admissible(x, near)
+    assert not is_admissible(x, x.transformed(shift=(1.32, 1.32)), eta=3.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            is_admissible(x, near, eta=bad)
 
 
 def test_cloud_requires_n_by_2_finite():
@@ -137,19 +145,21 @@ def test_diameter_degenerate_cases():
 
 # --- distances and admissibility ----------------------------------------
 
+# The true distance dist(X, Y) of two clouds is `_cloud_gap` of their points
+# with the default bounds.
+
 def test_true_distance_examples():
-    x = PointCloud(np.array([[0.0, 0.0]]))
-    y = PointCloud(np.array([[3.0, 4.0]]))
-    assert true_distance(x, y) == pytest.approx(5.0, abs=1e-15)
-    shared = PointCloud(np.array([[3.0, 4.0], [9.0, 9.0]]))
-    assert true_distance(y, shared) == 0.0
+    x = np.array([[0.0, 0.0]])
+    y = np.array([[3.0, 4.0]])
+    assert _cloud_gap(x, y) == pytest.approx(5.0, abs=1e-15)
+    shared = np.array([[3.0, 4.0], [9.0, 9.0]])
+    assert _cloud_gap(y, shared) == 0.0
 
 
 def test_true_distance_corner_squares():
     # Closest corners are (0.5, +-0.5) and (2.5, +-0.5).
-    assert true_distance(corner_square(0.0), corner_square(3.0)) == pytest.approx(
-        2.0, abs=1e-15
-    )
+    gap = _cloud_gap(corner_square(0.0).points, corner_square(3.0).points)
+    assert gap == pytest.approx(2.0, abs=1e-15)
 
 
 COORDS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -182,7 +192,7 @@ def test_admissible_rejects_identical_clouds():
 def test_admissible_single_points_any_eta():
     x = PointCloud(np.array([[0.0, 0.0]]))
     y = PointCloud(np.array([[0.1, 0.0]]))
-    assert is_admissible(x, y, AdmissibilityParams(eta=0.01))
+    assert is_admissible(x, y, eta=0.01)
 
 
 # --- circles -------------------------------------------------------------
@@ -268,14 +278,14 @@ def test_point_circle_distance_examples():
 # --- oriented bounding rectangle -----------------------------------------
 
 def test_aspect_ratio_square():
-    assert bounding_aspect_ratio(corner_square()) == pytest.approx(1.0, abs=1e-12)
+    assert corner_square().aspect_ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_aspect_ratio_two_to_one_rectangle():
     cloud = PointCloud(
         np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
     )
-    assert bounding_aspect_ratio(cloud) == pytest.approx(0.5, abs=1e-12)
+    assert cloud.aspect_ratio == pytest.approx(0.5, abs=1e-12)
 
 
 def test_aspect_ratio_rotation_invariant():
@@ -283,13 +293,13 @@ def test_aspect_ratio_rotation_invariant():
         np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
     )
     rotated = cloud.transformed(theta=0.7)
-    assert bounding_aspect_ratio(rotated) == pytest.approx(0.5, abs=1e-9)
+    assert rotated.aspect_ratio == pytest.approx(0.5, abs=1e-9)
 
 
 def test_aspect_ratio_degenerate_clouds():
-    assert bounding_aspect_ratio(PointCloud(np.array([[2.0, 3.0]]))) == 1.0
+    assert PointCloud(np.array([[2.0, 3.0]])).aspect_ratio == 1.0
     collinear = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-    assert bounding_aspect_ratio(collinear) == 0.0
+    assert collinear.aspect_ratio == 0.0
 
 
 def test_aspect_ratio_degenerate_hulls():
@@ -300,7 +310,7 @@ def test_aspect_ratio_degenerate_hulls():
     collinear = PointCloud(np.column_stack([3.0 + t, 1.0 + 2.0 * t]))
     for cloud in (two, duplicates, collinear):
         assert len(_hull(cloud.points)) < 3
-        assert bounding_aspect_ratio(cloud) == 0.0
+        assert cloud.aspect_ratio == 0.0
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e8])
@@ -309,9 +319,7 @@ def test_aspect_ratio_scale_invariant(scale):
         cloud = generate_cloud(0.5, 1.0, 200, np.random.default_rng(seed))
         cloud = cloud.transformed(theta=float(seed))
         scaled = PointCloud(scale * cloud.points)
-        assert bounding_aspect_ratio(scaled) == pytest.approx(
-            bounding_aspect_ratio(cloud), rel=1e-9
-        )
+        assert scaled.aspect_ratio == pytest.approx(cloud.aspect_ratio, rel=1e-9)
 
 
 @pytest.mark.parametrize("shape", ["square", "rotated", "thin", "normal"])
@@ -368,7 +376,7 @@ def test_generate_cloud_validation():
 def test_place_clouds_hits_target_distance():
     for seed, dist in [(0, 1.5), (1, 2.5), (2, 5.0), (3, 1.5)]:
         x, y, _ = place_clouds(1.0, 80, 60, dist, np.random.default_rng(seed))
-        assert abs(true_distance(x, y) - dist) <= 1e-3
+        assert abs(_cloud_gap(x.points, y.points) - dist) <= 1e-3
         assert len(x) == 80 and len(y) == 60
 
 
@@ -438,29 +446,29 @@ def test_place_clouds_matches_brute_force(n, m):
 def test_true_distance_matches_cdist_min():
     rng = np.random.default_rng(11)
     for n, m in [(1, 1), (1, 40), (40, 1), (50, 70), (300, 200)]:
-        x = PointCloud(rng.uniform(-1.0, 1.0, size=(n, 2)))
-        y = PointCloud(rng.uniform(0.5, 3.0, size=(m, 2)))
-        assert true_distance(x, y) == cdist(x.points, y.points).min()
+        x = rng.uniform(-1.0, 1.0, size=(n, 2))
+        y = rng.uniform(0.5, 3.0, size=(m, 2))
+        assert _cloud_gap(x, y) == cdist(x, y).min()
     shared = rng.uniform(-1.0, 1.0, size=(30, 2))
-    x = PointCloud(shared[:20])
-    y = PointCloud(shared[15:])
-    assert true_distance(x, y) == 0.0 == cdist(x.points, y.points).min()
+    x = shared[:20]
+    y = shared[15:]
+    assert _cloud_gap(x, y) == 0.0 == cdist(x, y).min()
 
 
 def test_true_distance_coincident_cross_point():
     rng = np.random.default_rng(12)
     x = rng.uniform(-1.0, 0.0, size=(40, 2))
     y = np.vstack([rng.uniform(2.0, 3.0, size=(40, 2)), x[17]])
-    assert true_distance(PointCloud(x), PointCloud(y)) == 0.0
+    assert _cloud_gap(x, y) == 0.0
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e8])
 def test_true_distance_extreme_scales_match_cdist(scale):
     rng = np.random.default_rng(13)
     for n, m in [(1, 30), (60, 80), (300, 200)]:
-        x = PointCloud(scale * rng.uniform(-1.0, 1.0, size=(n, 2)))
-        y = PointCloud(scale * rng.uniform(0.5, 3.0, size=(m, 2)))
-        assert true_distance(x, y) == cdist(x.points, y.points).min()
+        x = scale * rng.uniform(-1.0, 1.0, size=(n, 2))
+        y = scale * rng.uniform(0.5, 3.0, size=(m, 2))
+        assert _cloud_gap(x, y) == cdist(x, y).min()
 
 
 def record_gap_queries(monkeypatch):
@@ -536,7 +544,7 @@ def test_place_clouds_retries_from_zero_displacement():
     assert retried
     assert np.array_equal(x.points, rx) and np.array_equal(y.points, ry)
     assert theta == rtheta
-    assert abs(true_distance(x, y) - 0.5) <= 1e-3
+    assert abs(_cloud_gap(x.points, y.points) - 0.5) <= 1e-3
 
 
 def test_place_clouds_unreachable_target():
@@ -546,6 +554,31 @@ def test_place_clouds_unreachable_target():
         place_clouds(1.0, 1, 1, 0.5, np.random.default_rng(0))
     with pytest.raises(ValueError, match="target distance unreachable"):
         brute_force_place_clouds(1.0, 1, 1, 0.5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "n, merging, keeping", [(200, 1e14, 1e13), (50, 1e15, 1e14), (5, 1e100, 1e15)]
+)
+def test_place_clouds_refuses_to_merge_points(n, merging, keeping):
+    """A push so long that distinct points of X round to one point would
+    approximate another matrix; seed 0 at n = 50 and dist 1e15 kept only
+    39 of 50 points."""
+    with pytest.raises(ValueError, match="merges distinct points of X"):
+        place_clouds(1.0, n, n, merging, np.random.default_rng(0))
+    x, _, _ = place_clouds(1.0, n, n, keeping, np.random.default_rng(0))
+    assert _distinct_count(x.points) == n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=20
+    ),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_distinct_count_matches_unique(points, scale):
+    pts = scale * np.array(points, dtype=float)
+    assert _distinct_count(pts) == len(np.unique(pts, axis=0))
 
 
 def test_place_clouds_validation():

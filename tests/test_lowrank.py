@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 import acakit._pool
 from acakit._floatjson import vector_json
 from acakit.geometry import PointCloud, place_clouds
-from acakit.kernel import KernelHandle
+from acakit.kernel import KernelHandle, _MatrixKernel
 from acakit.lowrank import (
     PivotRecord,
-    PivotsExhaustedError,
     Skeleton,
     StoppingParams,
     _SkeletonBuilder,
     aca,
     compression_ratio,
     dense,
-    pivot_row_rule,
     resolve_k_max,
     skeleton_to_json,
     update_norms,
@@ -82,34 +80,68 @@ def test_default_max_rank():
 # --- row rule ---------------------------------------------------------------
 
 def test_pivot_row_rule_first_call_seeded():
-    used = np.zeros(10, dtype=bool)
-    a = pivot_row_rule(used, None, np.random.default_rng(3))
-    b = pivot_row_rule(used, None, np.random.default_rng(3))
-    assert a == b
-    assert 0 <= a < 10
+    """The first row is the run generator's first draw over all rows."""
+    x, y, _ = pair(3, n=10, m=12)
+    a, _ = run_to_rank(x, y, 3, seed=3)
+    b, _ = run_to_rank(x, y, 3, seed=3)
+    assert a.pivot_trace == b.pivot_trace
+    assert a.pivot_rows[0] == np.random.default_rng(3).integers(10)
+    assert a.pivot_trace[0].selector == "random"
 
 
 def test_pivot_row_rule_first_call_skips_used():
-    used = np.ones(6, dtype=bool)
-    used[4] = False
-    assert pivot_row_rule(used, None, np.random.default_rng(0)) == 4
+    """A drawn row whose entries all vanish is skipped (its m evaluations
+    still counted), and the next draw is over the unused rows only."""
+    x, y, _ = pair(4, n=6, m=9)
+    rng = np.random.default_rng(4)
+    zero_row = int(rng.integers(6))
+    expected = np.delete(np.arange(6), zero_row)[rng.integers(5)]
+    a = KernelHandle().assemble_dense(x, y)
+    a[zero_row] = 0.0
+    kernel = _MatrixKernel(x, y, a)
+    skel = aca(
+        x, y, kernel, StoppingParams(epsilon=1e-30, k_max=1),
+        np.random.default_rng(4),
+    )
+    assert skel.pivot_rows == (expected,)
+    assert kernel.eval_count == 9 + (6 + 9)
 
 
 def test_pivot_row_rule_argmax_of_previous_column():
-    used = np.array([True, False, False])
-    u1 = np.array([1.0, -5.0, 2.0])
-    assert pivot_row_rule(used, u1, np.random.default_rng(0)) == 1
+    x, y, _ = pair(5, n=30, m=20)
+    skel, kernel = run_to_rank(x, y, 6, seed=5)
+    assert kernel.eval_count == 6 * (30 + 20)  # no row skipped
+    used = np.zeros(30, dtype=bool)
+    for k in range(1, skel.rank):
+        used[skel.pivot_rows[k - 1]] = True
+        scores = np.abs(skel.u_matrix[:, k - 1])
+        scores[used] = -1.0
+        assert skel.pivot_rows[k] == int(np.argmax(scores))
 
 
 def test_pivot_row_rule_tie_smallest_index():
-    used = np.zeros(4, dtype=bool)
-    u1 = np.array([2.0, -2.0, 2.0, 1.0])
-    assert pivot_row_rule(used, u1, np.random.default_rng(0)) == 0
+    """All three points of X lie 5 from y_0, which every first row picks as
+    its pivot column, so the previous column ties on the unused rows."""
+    x = PointCloud(np.array([[4.0, 3.0], [4.0, -3.0], [5.0, 0.0]]))
+    y = PointCloud(np.array([[0.0, 0.0], [20.0, 5.0]]))
+    seen = set()
+    for seed in range(20):
+        skel, _ = run_to_rank(x, y, 2, seed=seed)
+        first, second = skel.pivot_rows
+        assert skel.pivot_cols[0] == 0
+        assert second == min({0, 1, 2} - {first})
+        seen.add(first)
+    assert seen == {0, 1, 2}
 
 
 def test_pivot_row_rule_exhausted():
-    with pytest.raises(PivotsExhaustedError):
-        pivot_row_rule(np.ones(3, dtype=bool), None, np.random.default_rng(0))
+    """A duplicated point of X leaves a vanishing residual row; once it is
+    skipped every row is used and the run ends below k_max."""
+    x = PointCloud(np.array([[0.0, 0.0], [0.0, 0.0]]))
+    y = PointCloud(np.array([[3.0, 0.0], [3.0, 1.0], [4.0, -1.0]]))
+    skel, kernel = run_to_rank(x, y, 2, seed=0)
+    assert skel.rank == 1
+    assert kernel.eval_count == (2 + 3) + 3
 
 
 # --- norm recursion ----------------------------------------------------------

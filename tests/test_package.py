@@ -1,16 +1,18 @@
 """Static checks over the package source.
 
 The benchmark's tracer resolves every name in each module's `__all__` with
-getattr, so a stale entry breaks every traced run; and an import left
-behind by a deletion is dead code.  The package root carries only
-`__version__`, so no second home for a public name can grow back.  The
-runtime depends on numpy only: importing the CLI must not load scipy, which
-tests keep as a reference, and a serial run must not load the process pool.
+getattr, so a stale entry breaks every traced run; an import left behind
+by a deletion is dead code, and so is a public name that nothing uses.
+The package root carries only `__version__`, so no second home for a
+public name can grow back.  The runtime depends on numpy only: importing
+the CLI must not load scipy, which tests keep as a reference, and a serial
+run must not load the process pool.
 """
 import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +56,50 @@ def test_no_unused_imports(name):
         imp: line for imp, line in _imported_names(tree).items() if imp not in used
     }
     assert not unused, f"acakit.{name}: unused imports {unused}"
+
+
+# Public names that nothing in `src` reads and README.md does not name, each
+# with the reason it is API.
+UNREFERENCED_API = {
+    "cloud_to_json": "writes the `approximate --clouds` file format",
+}
+
+
+def _reads_by_owner(tree: ast.Module) -> set[tuple[str | None, str]]:
+    """(top-level def or class, name) for every name read in a module, as a
+    bare name or an attribute; the owner is None outside any def."""
+    reads = set()
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add((owner, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add((owner, node.attr))
+    return reads
+
+
+def test_public_names_are_used():
+    """Every name in a module's `__all__` is read somewhere in `src` outside
+    its own definition, or named in README.md, or listed in
+    UNREFERENCED_API with its reason."""
+    reads = {
+        name: _reads_by_owner(ast.parse((SRC / f"{name}.py").read_text()))
+        for name in MODULES
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    unused = []
+    for name in MODULES:
+        for attr in getattr(importlib.import_module(f"acakit.{name}"), "__all__", ()):
+            used = any(
+                ident == attr and not (other == name and owner == attr)
+                for other, module_reads in reads.items()
+                for owner, ident in module_reads
+            )
+            if not (used or re.search(rf"\b{attr}\b", readme)
+                    or attr in UNREFERENCED_API):
+                unused.append(f"{name}.{attr}")
+    assert not unused, f"public names that nothing uses: {unused}"
 
 
 def test_package_root_binds_only_version():
