@@ -145,13 +145,13 @@ def test_approximate_unreachable_target_exit_code():
     "argv, field",
     [
         (["benchmark", "--realizations", "2", "--eta", "nan"], "eta"),
-        (["approximate", "--gen", "xi=1,n=20,m=20,dist=2", "--eta", "nan"], "eta"),
         (["benchmark", "--realizations", "2", "--dist", "nan"], "target_dist"),
         (["sweep-central", "--realizations", "2", "--dist", "inf"], "target_dist"),
         (["approximate", "--gen", "xi=1,n=50,m=50,dist=inf", "--force"], "target_dist"),
         (["sweep-central", "--realizations", "2", "--central", "nan:0.5:0.1"], "finite"),
         (["sweep-central", "--realizations", "2", "--central", "0.1:nan:0.1"], "finite"),
         (["sweep-central", "--realizations", "2", "--central", "0.1:0.5:inf"], "finite"),
+        (["approximate", "--gen", "xi=1,n=20,m=20,dist=2", "--eta", "nan"], "eta"),
     ],
 )
 def test_non_finite_input_exit_code(argv, field):
