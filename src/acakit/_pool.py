@@ -1,6 +1,7 @@
 """Worker processes for the realizations of a pooled benchmark or sweep
-(`experiments`).  Nothing else starts a process: `approximate` and
-`lowrank.skeleton_to_json` run in the calling process.
+(`experiments`).  Nothing else starts a process: `approximate` encodes
+its skeleton JSON in the calling process and streams it to its output
+(`lowrank.write_skeleton_json`), never holding the whole document.
 
 Workers are forked from the standard library's fork server, run one
 BLAS thread each and are shut down before `pool_map` returns.

@@ -35,7 +35,7 @@ from .lowrank import (
     aca,
     compression_ratio,
     resolve_k_max,
-    skeleton_to_json,
+    write_skeleton_json,
 )
 from .oracle import genetic_search, rank_errors, svd_rank_errors
 
@@ -149,7 +149,6 @@ def _cmd_approximate(args) -> int:
         },
         "seed": args.seed,
     }
-    text = skeleton_to_json(skeleton, meta)
     rel_residual = (
         skeleton.residual_norm / skeleton.approx_norm
         if skeleton.approx_norm > 0.0
@@ -163,11 +162,12 @@ def _cmd_approximate(args) -> int:
     )
     if args.out is not None:
         with Path(args.out).open("w") as fh:
-            fh.write(text)
-            fh.write("\n")  # not text + "\n", a second copy of the document
+            write_skeleton_json(skeleton, fh, meta)
+            fh.write("\n")
         print(summary)
     else:
-        print(text)
+        write_skeleton_json(skeleton, sys.stdout, meta)
+        sys.stdout.write("\n")
         print(summary, file=sys.stderr)
     return 0
 

@@ -4,13 +4,19 @@ A rank-k skeleton stores scaled cross vectors U (n x k) and V (m x k) such
 that A ~= U V^T, built one residual row/column pair at a time.  Only k rows
 and k columns of the matrix are ever evaluated; the Frobenius norm of the
 approximant is tracked by a recursion instead of forming U V^T.
+
+`write_skeleton_json` streams a skeleton's JSON document to a text file
+a block of factor vectors at a time, as it is encoded, so the document
+is never held whole; `skeleton_to_json` returns the join of the same
+pieces.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -28,6 +34,7 @@ __all__ = [
     "resolve_k_max",
     "skeleton_to_json",
     "update_norms",
+    "write_skeleton_json",
 ]
 
 # Pivots smaller than this fraction of the first pivot terminate a run.
@@ -337,17 +344,17 @@ def dense(skeleton: Skeleton) -> np.ndarray:
     return skeleton.u_matrix @ skeleton.v_matrix.T
 
 
-def skeleton_to_json(skeleton: Skeleton, meta: dict | None = None) -> str:
-    """Serialize a skeleton; U and V are stored as k vectors each.
+def _skeleton_pieces(skeleton: Skeleton, meta: dict | None) -> Iterator[str]:
+    """The skeleton document's text, in order, as pieces: the head (meta,
+    rank and pivots), each factor as `_floatjson.rows_json` blocks of
+    consecutive factor vectors, and the tail (approx_norm, pivot_trace).
 
-    The text is `json.dumps` of one dict holding meta (when given), rank,
-    pivot_rows, pivot_cols, U, V, approx_norm and pivot_trace, in that
-    order.  Each factor vector is encoded on its own, in the calling
-    process, by `_floatjson.vector_json` (byte for byte what `json.dumps`
-    writes), and the pieces are joined once.
+    Their join is `json.dumps` of one dict holding meta (when given),
+    rank, pivot_rows, pivot_cols, U, V, approx_norm and pivot_trace, in
+    that order, with U and V stored as k vectors each.
     """
     # Imported here, so runs that write no skeleton never load the encoder.
-    from ._floatjson import vector_json
+    from ._floatjson import rows_json
 
     head: dict = {} if meta is None else {"meta": meta}
     head.update(
@@ -359,9 +366,22 @@ def skeleton_to_json(skeleton: Skeleton, meta: dict | None = None) -> str:
         "approx_norm": skeleton.approx_norm,
         "pivot_trace": [asdict(rec) for rec in skeleton.pivot_trace],
     }
-    pieces = [json.dumps(head)[:-1]]
+    yield json.dumps(head)[:-1]
     for name, factor in (("U", skeleton.u_matrix), ("V", skeleton.v_matrix)):
-        texts = ", ".join(vector_json(vector) for vector in factor.T)
-        pieces.append(f', "{name}": [{texts}]')
-    pieces.append(", " + json.dumps(tail)[1:])
-    return "".join(pieces)
+        yield f', "{name}": '
+        yield from rows_json(factor.T)
+    yield ", " + json.dumps(tail)[1:]
+
+
+def skeleton_to_json(skeleton: Skeleton, meta: dict | None = None) -> str:
+    """The skeleton document as one string: the join of the pieces that
+    `write_skeleton_json` writes."""
+    return "".join(_skeleton_pieces(skeleton, meta))
+
+
+def write_skeleton_json(
+    skeleton: Skeleton, fh: TextIO, meta: dict | None = None
+) -> None:
+    """Write the skeleton document to the text stream fh as it is encoded,
+    one block of factor vectors at a time, so it is never held whole."""
+    fh.writelines(_skeleton_pieces(skeleton, meta))

@@ -1,14 +1,16 @@
 import json
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import acakit._floatjson
 import acakit._pool
-from acakit._floatjson import vector_json
+from acakit._floatjson import rows_json
 from acakit.geometry import PointCloud, place_clouds
 from acakit.kernel import KernelHandle, _MatrixKernel
 from acakit.lowrank import (
@@ -22,6 +24,7 @@ from acakit.lowrank import (
     resolve_k_max,
     skeleton_to_json,
     update_norms,
+    write_skeleton_json,
 )
 from acakit.oracle import svd_rank_errors
 
@@ -459,9 +462,88 @@ def test_large_skeleton_json_starts_no_process(monkeypatch):
     assert skeleton_to_json(skel) == dumped_payload(skel)
 
 
+class PieceRecorder:
+    """A text stream that keeps each write as it comes."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+def tiled_skeleton(n, m, k, values):
+    """A rank-k skeleton whose factors, pivot values and norm repeat values."""
+    pool = np.asarray(values, dtype=np.float64)
+    trace = tuple(
+        PivotRecord(l + 1, l % n, l % m, float(pool[l % len(pool)]), "partial")
+        for l in range(k)
+    )
+    return Skeleton(
+        u_matrix=np.resize(pool, (n, k)),
+        v_matrix=np.resize(pool[::-1], (m, k)),
+        approx_norm=float(pool[0]),
+        residual_norm=0.0,
+        pivot_trace=trace,
+    )
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e-5, 1e16, 0.1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(0, 4)),
+    block=st.integers(1, 9),
+    values=st.lists(st.floats(), min_size=1, max_size=12),
+    meta=st.sampled_from([None, NESTED_META]),
+)
+@example(shape=(3, 2, 0), block=4, values=[1.0], meta=None)  # rank 0
+@example(shape=(1, 1, 1), block=1, values=EDGE_VALUES, meta=None)  # rank 1, n = 1
+@example(shape=(4, 6, 3), block=4, values=EDGE_VALUES, meta=NESTED_META)  # U's vectors on edges
+@example(shape=(3, 5, 2), block=6, values=EDGE_VALUES, meta=None)  # U ends on an edge
+def test_streamed_skeleton_json_matches_json_dumps(shape, block, values, meta):
+    """The pieces `write_skeleton_json` streams join to one `json.dumps` of
+    the skeleton, for any floats (NaN, infinities, subnormals and -0.0
+    included) and wherever the encode blocks fall in the factor vectors."""
+    skel = tiled_skeleton(*shape, values)
+    recorder = PieceRecorder()
+    with mock.patch.object(acakit._floatjson, "_BLOCK", block):
+        write_skeleton_json(skel, recorder, meta)
+        joined = skeleton_to_json(skel, meta)
+    assert "".join(recorder.pieces) == dumped_payload(skel, meta)
+    assert joined == dumped_payload(skel, meta)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+def test_skeleton_json_at_encode_block_edges(n):
+    """Factor vectors of one encode block, one element either side of it,
+    and half of one (V), at the module's own block size."""
+    block = acakit._floatjson._BLOCK
+    skel = random_skeleton(block + n, block // 2, 3, seed=25)
+    assert skeleton_to_json(skel) == dumped_payload(skel)
+
+
+def test_skeleton_json_is_the_join_of_the_streamed_pieces():
+    """`skeleton_to_json` returns exactly what `write_skeleton_json`
+    writes, and the writer streams it a block of elements at a time."""
+    skel = random_skeleton(3000, 2000, 20, seed=26)
+    recorder = PieceRecorder()
+    write_skeleton_json(skel, recorder, NESTED_META)
+    document = skeleton_to_json(skel, NESTED_META)
+    assert "".join(recorder.pieces) == document
+    longest = max(len(piece) for piece in recorder.pieces)
+    assert longest < 30 * acakit._floatjson._BLOCK < len(document) / 2
+
+
 def assert_encodes_like_json(values):
     vector = np.asarray(values, dtype=np.float64)
-    assert vector_json(vector) == json.dumps(vector.tolist())
+    text = "".join(rows_json(vector[None, :]))
+    assert text == "[" + json.dumps(vector.tolist()) + "]"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
