@@ -17,7 +17,7 @@ import numpy as np
 
 from ._pool import _usable_cpus, pool_map
 from ._version import __version__
-from .acagp import GpOptions, aca_gp, epsilon_r_rule
+from .acagp import GpOptions, aca_gp
 from .geometry import PointCloud, place_clouds
 from .kernel import KernelHandle, _MatrixKernel
 from .lowrank import Skeleton, StoppingParams, aca, resolve_k_max
@@ -29,7 +29,6 @@ __all__ = [
     "RealizationResult",
     "SweepPoint",
     "aggregate",
-    "epsilon_r_rule",
     "render_benchmark_csv",
     "render_sweep_csv",
     "run_benchmark",

@@ -7,14 +7,12 @@ approximant is tracked by a recursion instead of forming U V^T.
 
 `write_skeleton_json` streams a skeleton's JSON document to a text file
 a block of factor vectors at a time, as it is encoded, so the document
-is never held whole; `skeleton_to_json` returns the join of the same
-pieces.
+is never held whole.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, TextIO
 
@@ -32,7 +30,6 @@ __all__ = [
     "compression_ratio",
     "dense",
     "resolve_k_max",
-    "skeleton_to_json",
     "update_norms",
     "write_skeleton_json",
 ]
@@ -344,14 +341,18 @@ def dense(skeleton: Skeleton) -> np.ndarray:
     return skeleton.u_matrix @ skeleton.v_matrix.T
 
 
-def _skeleton_pieces(skeleton: Skeleton, meta: dict | None) -> Iterator[str]:
-    """The skeleton document's text, in order, as pieces: the head (meta,
-    rank and pivots), each factor as `_floatjson.rows_json` blocks of
-    consecutive factor vectors, and the tail (approx_norm, pivot_trace).
+def write_skeleton_json(
+    skeleton: Skeleton, fh: TextIO, meta: dict | None = None
+) -> None:
+    """Write the skeleton document to the text stream fh as it is encoded,
+    one block of factor vectors at a time, so it is never held whole.
 
-    Their join is `json.dumps` of one dict holding meta (when given),
-    rank, pivot_rows, pivot_cols, U, V, approx_norm and pivot_trace, in
-    that order, with U and V stored as k vectors each.
+    In order: the head (meta, rank and pivots), each factor as
+    `_floatjson.rows_json` blocks of consecutive factor vectors, and the
+    tail (approx_norm, pivot_trace).  Together they are `json.dumps` of
+    one dict holding meta (when given), rank, pivot_rows, pivot_cols, U,
+    V, approx_norm and pivot_trace, in that order, with U and V stored as
+    k vectors each.
     """
     # Imported here, so runs that write no skeleton never load the encoder.
     from ._floatjson import rows_json
@@ -366,22 +367,8 @@ def _skeleton_pieces(skeleton: Skeleton, meta: dict | None) -> Iterator[str]:
         "approx_norm": skeleton.approx_norm,
         "pivot_trace": [asdict(rec) for rec in skeleton.pivot_trace],
     }
-    yield json.dumps(head)[:-1]
+    fh.write(json.dumps(head)[:-1])
     for name, factor in (("U", skeleton.u_matrix), ("V", skeleton.v_matrix)):
-        yield f', "{name}": '
-        yield from rows_json(factor.T)
-    yield ", " + json.dumps(tail)[1:]
-
-
-def skeleton_to_json(skeleton: Skeleton, meta: dict | None = None) -> str:
-    """The skeleton document as one string: the join of the pieces that
-    `write_skeleton_json` writes."""
-    return "".join(_skeleton_pieces(skeleton, meta))
-
-
-def write_skeleton_json(
-    skeleton: Skeleton, fh: TextIO, meta: dict | None = None
-) -> None:
-    """Write the skeleton document to the text stream fh as it is encoded,
-    one block of factor vectors at a time, so it is never held whole."""
-    fh.writelines(_skeleton_pieces(skeleton, meta))
+        fh.write(f', "{name}": ')
+        fh.writelines(rows_json(factor.T))
+    fh.write(", " + json.dumps(tail)[1:])

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acakit.acagp import GpOptions, aca_gp
+from acakit.acagp import GpOptions, aca_gp, epsilon_r_rule
 from acakit.cli import main
 from acakit.experiments import (
     ExperimentConfig,
     aggregate,
-    epsilon_r_rule,
     render_benchmark_csv,
     run_realization,
     run_realizations,

@@ -18,7 +18,7 @@ import acakit._pool
 import acakit.experiments
 import acakit.geometry
 from acakit._pool import BLAS_THREAD_VARS, _worker_context, _worker_environ
-from acakit.acagp import GpOptions, aca_gp
+from acakit.acagp import GpOptions, aca_gp, epsilon_r_rule
 from acakit.experiments import (
     METHODS,
     RUN_TO_RANK_EPSILON,
@@ -31,7 +31,6 @@ from acakit.experiments import (
     _worker_count,
     aggregate,
     config_echo,
-    epsilon_r_rule,
     render_benchmark_csv,
     render_sweep_csv,
     run_benchmark,

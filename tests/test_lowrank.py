@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from dataclasses import asdict
@@ -9,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import acakit._floatjson
-import acakit._pool
 from acakit._floatjson import rows_json
 from acakit.geometry import PointCloud, place_clouds
 from acakit.kernel import KernelHandle, _MatrixKernel
@@ -22,7 +22,6 @@ from acakit.lowrank import (
     compression_ratio,
     dense,
     resolve_k_max,
-    skeleton_to_json,
     update_norms,
     write_skeleton_json,
 )
@@ -375,10 +374,18 @@ def test_dense_shape():
     assert dense(skel).shape == (12, 9)
 
 
+def skeleton_json(skeleton, meta=None):
+    """The skeleton document as one string, as `write_skeleton_json`
+    writes it."""
+    out = io.StringIO()
+    write_skeleton_json(skeleton, out, meta)
+    return out.getvalue()
+
+
 def test_skeleton_json_structure():
     x, y, _ = pair(20, n=10, m=8)
     skel, _ = run_to_rank(x, y, 3, seed=20)
-    data = json.loads(skeleton_to_json(skel, meta={"tag": 1}))
+    data = json.loads(skeleton_json(skel, meta={"tag": 1}))
     assert data["meta"] == {"tag": 1}
     assert data["rank"] == 3
     assert len(data["U"]) == 3 and len(data["U"][0]) == 10
@@ -394,7 +401,7 @@ def test_skeleton_json_structure():
 
 def dumped_payload(skeleton, meta=None):
     """The skeleton document as one `json.dumps` of a dict: the bytes
-    `skeleton_to_json` must give."""
+    `write_skeleton_json` must write."""
     payload: dict = {}
     if meta is not None:
         payload["meta"] = meta
@@ -437,29 +444,21 @@ NESTED_META = {
 }
 
 
-class NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a worker pool was built")
-
-
 @pytest.mark.parametrize("meta", [None, NESTED_META], ids=["no-meta", "nested-meta"])
 @pytest.mark.parametrize("rank", [0, 1, 5])
-def test_skeleton_json_bytes_serial_and_pooled(rank, meta, monkeypatch):
-    """The factor vectors are encoded one by one, in the calling process,
-    and the document is the bytes of one `json.dumps`."""
+def test_skeleton_json_bytes(rank, meta):
+    """The document is the bytes of one `json.dumps`."""
     x, y, _ = pair(21, n=40, m=30)
     skel = run_to_rank(x, y, rank, seed=21)[0] if rank else empty_skeleton(40, 30)
     assert skel.rank == rank
-    monkeypatch.setattr(acakit._pool, "ProcessPoolExecutor", NoPool)
-    assert skeleton_to_json(skel, meta) == dumped_payload(skel, meta)
+    assert skeleton_json(skel, meta) == dumped_payload(skel, meta)
 
 
-def test_large_skeleton_json_starts_no_process(monkeypatch):
+def test_large_skeleton_json_bytes():
     """A skeleton of 600 000 floats, the size that k = 30 at n = m = 10 000
-    gives, is encoded in the calling process."""
-    monkeypatch.setattr(acakit._pool, "ProcessPoolExecutor", NoPool)
+    gives."""
     skel = random_skeleton(10_000, 10_000, 30, seed=22)
-    assert skeleton_to_json(skel) == dumped_payload(skel)
+    assert skeleton_json(skel) == dumped_payload(skel)
 
 
 class PieceRecorder:
@@ -514,9 +513,7 @@ def test_streamed_skeleton_json_matches_json_dumps(shape, block, values, meta):
     recorder = PieceRecorder()
     with mock.patch.object(acakit._floatjson, "_BLOCK", block):
         write_skeleton_json(skel, recorder, meta)
-        joined = skeleton_to_json(skel, meta)
     assert "".join(recorder.pieces) == dumped_payload(skel, meta)
-    assert joined == dumped_payload(skel, meta)
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1], ids=["block-1", "block", "block+1"])
@@ -525,16 +522,16 @@ def test_skeleton_json_at_encode_block_edges(n):
     and half of one (V), at the module's own block size."""
     block = acakit._floatjson._BLOCK
     skel = random_skeleton(block + n, block // 2, 3, seed=25)
-    assert skeleton_to_json(skel) == dumped_payload(skel)
+    assert skeleton_json(skel) == dumped_payload(skel)
 
 
-def test_skeleton_json_is_the_join_of_the_streamed_pieces():
-    """`skeleton_to_json` returns exactly what `write_skeleton_json`
-    writes, and the writer streams it a block of elements at a time."""
+def test_skeleton_json_streams_in_blocks():
+    """`write_skeleton_json` writes the document of one `json.dumps` a
+    block of elements at a time."""
     skel = random_skeleton(3000, 2000, 20, seed=26)
     recorder = PieceRecorder()
     write_skeleton_json(skel, recorder, NESTED_META)
-    document = skeleton_to_json(skel, NESTED_META)
+    document = dumped_payload(skel, NESTED_META)
     assert "".join(recorder.pieces) == document
     longest = max(len(piece) for piece in recorder.pieces)
     assert longest < 30 * acakit._floatjson._BLOCK < len(document) / 2
