@@ -13,6 +13,7 @@ from acakit.lowrank import Skeleton, StoppingParams, aca, dense
 from acakit.oracle import (
     SVD_FLOOR,
     _fro,
+    _sketch,
     gain,
     genetic_search,
     rank_errors,
@@ -51,6 +52,108 @@ def test_svd_errors_nonincreasing():
     a, _, _, _ = kernel_matrix(0)
     e = svd_rank_errors(a, 10)
     assert np.all(np.diff(e) <= 1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_svd_refuses_non_finite_matrix(bad, capfd):
+    # Both paths: a sketch fits the 60 x 50 matrix at k = 3, not at k = 40.
+    a, _, _, _ = kernel_matrix(4, n=60, m=50)
+    a[7, 3] = bad
+    for k in (3, 40):
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            svd_rank_errors(a, k)
+    # LAPACK never saw the matrix, so it printed no DLASCL complaint.
+    assert capfd.readouterr().err == ""
+
+
+def full_svd_floors(a, k_max):
+    """The floors from the full SVD's tail sums, as svd_rank_errors takes
+    them where the sketch is not certified."""
+    s = np.linalg.svd(a, compute_uv=False)
+    tail = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])
+    return np.sqrt(np.maximum(tail[1 : min(k_max, *a.shape) + 1], 0.0)) / math.sqrt(tail[0])
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of every matrix handed to np.linalg.svd during the test."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def with_spectrum(n, m, s):
+    """An n x m matrix with singular values s, from fixed random bases."""
+    rng = np.random.default_rng(len(s))
+    u, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((m, len(s))))
+    return (u * s) @ v.T
+
+
+def geometric(ratio, count, rank=None):
+    """ratio**i for i < rank (default: all count), then zeros."""
+    s = ratio ** np.arange(count)
+    if rank is not None:
+        s[rank:] = 0.0
+    return s
+
+
+# (n, m, singular values, k_max, path): the sketch where the spectrum has
+# decayed by ~k_max + 30, the full SVD where it has not or cannot have.
+CERTIFICATE_CASES = {
+    "fast-square": (80, 80, geometric(0.5, 80), 8, "sketch"),
+    "fast-tall": (150, 60, geometric(0.5, 60), 10, "sketch"),
+    "fast-wide": (60, 150, geometric(0.5, 60), 10, "sketch"),
+    "slow": (80, 80, geometric(0.95, 80), 8, "full"),
+    "flat": (80, 60, np.ones(60), 8, "full"),
+    "rank-12-k5": (90, 70, geometric(0.7, 70, rank=12), 5, "sketch"),
+    "rank-12-k15": (90, 70, geometric(0.7, 70, rank=12), 15, "full"),
+    "k-widest-sketch": (40, 50, geometric(0.3, 40), 9, "sketch"),
+    "k-too-wide": (40, 50, geometric(0.3, 40), 10, "full"),
+    "k-at-min": (40, 50, geometric(0.3, 40), 40, "full"),
+    "k-past-min": (50, 40, geometric(0.3, 40), 45, "full"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_svd_floors_certificate(case, svd_shapes):
+    n, m, s, k_max, path = CERTIFICATE_CASES[case]
+    a = with_spectrum(n, m, s)
+    exact = full_svd_floors(a, k_max)
+    svd_shapes.clear()
+    floors = svd_rank_errors(a, k_max)
+    assert (a.shape in svd_shapes) == (path == "full")
+    if path == "full":
+        assert floors.tobytes() == exact.tobytes()
+        return
+    # Floors are in units of |A|_F, so a few ulps of 1 is the rounding.
+    ulps = 4 * np.finfo(float).eps
+    tail = _sketch(a, k_max)
+    rank = np.arange(1, k_max + 1)
+    bound = np.sqrt(1.0 + rank * tail[-1] / tail[1 : k_max + 1])
+    assert np.all(exact <= floors + ulps)
+    assert np.all(floors <= exact * bound + ulps)
+
+
+def test_pinned_realizations_take_the_sketch(svd_shapes):
+    """The pinned protocol's floors (seed 42, k = 10) come from the sketch
+    and agree with the full SVD's, so no change to the oversampling or the
+    certificate falls back to the O(n^3) path unnoticed."""
+    for n, count in ((200, 20), (400, 5)):
+        for index in range(count):
+            rng = np.random.default_rng(42 + index)
+            x, y, _ = place_clouds(1.0, n, n, 1.5, rng)
+            a = KernelHandle().assemble_dense(x, y)
+            svd_shapes.clear()
+            floors = svd_rank_errors(a, 10)
+            assert a.shape not in svd_shapes, (n, index)
+            np.testing.assert_allclose(floors, full_svd_floors(a, 10), rtol=1e-9, atol=0)
 
 
 # --- error measures --------------------------------------------------------------
@@ -198,6 +301,7 @@ def test_every_oracle_refuses_a_zero_matrix():
     )
     for oracle in (
         lambda: svd_rank_errors(zero, 3),
+        lambda: svd_rank_errors(np.zeros((60, 50)), 3),  # the sketch's path
         lambda: rank_errors(zero, skel, 3),
         lambda: relative_error(zero, skel),
         lambda: genetic_search(zero, 1),
