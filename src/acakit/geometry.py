@@ -73,6 +73,11 @@ def _as_xy(p) -> np.ndarray:
     return a
 
 
+# Turns an edge (dx, dy) into its normal (-dy, dx) when multiplied with the
+# reversed edge.
+_ACROSS = np.array([-1.0, 1.0])
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """An ordered, non-empty set of planar points.
@@ -124,13 +129,15 @@ class PointCloud:
         hull = _hull(self.points)
         if len(hull) < 3:
             return 0.0  # collinear: zero-width rectangle
-        hull -= hull.mean(axis=0)
-        edges = np.roll(hull, -1, axis=0) - hull
+        hull -= hull.sum(axis=0) / len(hull)
+        edges = np.concatenate((hull[1:], hull[:1])) - hull
         # Extents along and across each edge, both scaled by its length.
-        along = np.ptp(edges @ hull.T, axis=1)
-        across = np.ptp((edges[:, ::-1] * (-1.0, 1.0)) @ hull.T, axis=1)
-        k = int(np.argmin(along * across / np.einsum("ij,ij->i", edges, edges)))
-        return float(min(along[k], across[k]) / max(along[k], across[k]))
+        spans = np.concatenate((edges, edges[:, ::-1] * _ACROSS)) @ hull.T
+        spans = spans.max(axis=1) - spans.min(axis=1)
+        along, across = spans[: len(hull)], spans[len(hull) :]
+        k = int((along * across / (edges * edges).sum(axis=1)).argmin())
+        a, c = float(along[k]), float(across[k])
+        return min(a, c) / max(a, c)
 
     def transformed(self, theta: float = 0.0, shift=(0.0, 0.0)) -> "PointCloud":
         """Rigidly move the cloud: rotate by theta about its barycenter,
@@ -143,7 +150,7 @@ class PointCloud:
 
 # Pairs per block in the exact scan of `_cloud_gap`.
 GAP_BLOCK = 1 << 16
-# Alternating nearest-point rounds behind `_cloud_gap`'s upper bound.
+# Most alternating nearest-point rounds behind `_cloud_gap`'s upper bound.
 GAP_ROUNDS = 3
 
 
@@ -191,7 +198,11 @@ def _nearest(points: np.ndarray, p) -> tuple[int, float]:
 
 
 def _cloud_gap(
-    p: np.ndarray, q: np.ndarray, lower: float = 0.0, upper: float = math.inf
+    p: np.ndarray,
+    q: np.ndarray,
+    lower: float = 0.0,
+    upper: float = math.inf,
+    witness: list[int] | None = None,
 ) -> float:
     """Distance of some pair of the point sets p (n, 2) and q (m, 2).
 
@@ -199,38 +210,55 @@ def _cloud_gap(
     whenever that minimum lies in [lower, upper]; otherwise it lies on the
     same side of the interval as the minimum.
 
-    An upper bound u and a direction w come from GAP_ROUNDS rounds of
-    alternating nearest points, started at the point of p farthest toward
-    q's barycenter.  A pair closer than r = min(u, upper) is at most r
-    apart along w, so only the points of both sets whose projections onto
-    w lie in the overlap of the two sets' ranges, widened by r and a
-    rounding margin, are scanned, in blocks of GAP_BLOCK pairs.  The bound
-    costs O(n + m); the scan is small for separated clouds and O(nm) time
-    at worst, when the slabs take in both clouds, with memory bounded by
-    the block size.
+    An upper bound u and a direction w come from alternating nearest
+    points: at most GAP_ROUNDS rounds, none after the pair repeats.  They
+    start at p[i] when a witness [i, j] is passed, usually the closest pair
+    of a nearby query, which a single round then confirms; otherwise at the
+    point of p farthest toward q's barycenter.  A pair closer than
+    r = min(u, upper) is at most r apart along w, so only the points of
+    both sets whose projections onto w lie in the overlap of the two sets'
+    ranges, widened by r and a rounding margin, are scanned, in blocks of
+    GAP_BLOCK pairs.  The bound costs O(n + m); the scan is small for
+    separated clouds and O(nm) time at worst, when the slabs take in both
+    clouds, with memory bounded by the block size.  A passed witness is
+    overwritten with the indices of the closest pair found, whose distance
+    is the returned one.
     """
-    toward = q.sum(axis=0) / len(q) - p.sum(axis=0) / len(p)
-    i = int(np.argmax(p @ toward))
+    if witness is None:
+        toward = q.sum(axis=0) / len(q) - p.sum(axis=0) / len(p)
+        i = int(np.argmax(p @ toward))
+    else:
+        i = witness[0]
     for _ in range(GAP_ROUNDS):
+        prev = i
         j, _ = _nearest(q, p[i])
         i, best = _nearest(p, q[j])
+        if i == prev:
+            break
     u = math.sqrt(best)
-    if u < lower or u == 0.0:
-        return u
-    w = (q[j] - p[i]) / u
-    r = min(u, upper)
-    r += 1e-9 * (r + max(np.abs(p).max(), np.abs(q).max()))
-    along_p, along_q = p @ w, q @ w
-    lo = max(along_p.min(), along_q.min()) - r
-    hi = min(along_p.max(), along_q.max()) + r
-    p = p[(along_p >= lo) & (along_p <= hi)]
-    q = q[(along_q >= lo) & (along_q <= hi)]
-    if len(q):
-        rows = max(1, GAP_BLOCK // len(q))
-        for start in range(0, len(p), rows):
-            block = _squared_distances(p[start : start + rows], q)
-            best = min(best, float(block.min()))
-    return math.sqrt(best)
+    if u >= lower and u > 0.0:
+        w = (q[j] - p[i]) / u
+        r = min(u, upper)
+        r += 1e-9 * (r + max(np.abs(p).max(), np.abs(q).max()))
+        along_p, along_q = p @ w, q @ w
+        lo = max(along_p.min(), along_q.min()) - r
+        hi = min(along_p.max(), along_q.max()) + r
+        rows_p = np.flatnonzero((along_p >= lo) & (along_p <= hi))
+        cols_q = np.flatnonzero((along_q >= lo) & (along_q <= hi))
+        if len(cols_q):
+            slab_q = q[cols_q]
+            step = max(1, GAP_BLOCK // len(cols_q))
+            for start in range(0, len(rows_p), step):
+                block = _squared_distances(p[rows_p[start : start + step]], slab_q)
+                k = int(block.argmin())
+                if block.flat[k] < best:
+                    best = float(block.flat[k])
+                    i = int(rows_p[start + k // len(cols_q)])
+                    j = int(cols_q[k % len(cols_q)])
+        u = math.sqrt(best)
+    if witness is not None:
+        witness[:] = (i, j)
+    return u
 
 
 def is_admissible(x: PointCloud, y: PointCloud, eta: float = 1.0) -> bool:
@@ -312,16 +340,17 @@ def _circle_distances(points: np.ndarray, c: Circle) -> np.ndarray:
     return np.abs(_distances_to(points, c.center) - c.radius)
 
 
-def _turn(a, b, c) -> float:
-    """Twice the signed area of the triangle a, b, c (> 0 counter-clockwise)."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 def _half_chain(points) -> list:
-    """One half of Andrew's monotone chain over x-sorted points."""
+    """One half of Andrew's monotone chain over x-sorted points: each new
+    point pops the last one while the triangle of the last two and the new
+    one has no positive (counter-clockwise) area."""
     chain: list = []
     for p in points:
-        while len(chain) >= 2 and _turn(chain[-2], chain[-1], p) <= 0.0:
+        px, py = p
+        while len(chain) >= 2:
+            (ax, ay), (bx, by) = chain[-2], chain[-1]
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0.0:
+                break
             chain.pop()
         chain.append(p)
     return chain
@@ -344,13 +373,17 @@ def _hull(pts: np.ndarray) -> np.ndarray:
         y.argmax(), d.argmin(), x.argmin(), s.argmin(),
     ]))]
     if len(corners) >= 3:
-        edges = np.roll(corners, -1, axis=0) - corners
-        # (corners, n) cross products of each edge with the way to each point.
-        left = (edges[:, :1] * (y - corners[:, 1:])
-                - edges[:, 1:] * (x - corners[:, :1]))
+        edges = np.concatenate((corners[1:], corners[:1])) - corners
+        # (corners, n) cross products of each edge with the way to each
+        # point, formed in place.
+        left = y - corners[:, 1:]
+        left *= edges[:, :1]
+        right = x - corners[:, :1]
+        right *= edges[:, 1:]
+        left -= right
         margin = 1e-12 * float(np.abs(pts).max()) ** 2
-        pts = pts[~np.all(left > margin, axis=0)]
-    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+        pts = pts[left.min(axis=0) <= margin]
+    ordered = sorted(pts.tolist())  # by x, then y
     lower = _half_chain(ordered)
     upper = _half_chain(reversed(ordered))
     return np.array(lower[:-1] + upper[:-1])
@@ -388,9 +421,14 @@ def place_clouds(
     X (n points) is rotated by a uniform angle theta about its own
     barycenter and pushed along a random unit direction until the true
     cloud distance hits `target_dist`; the push length is found by
-    bisection (tolerance 1e-3, at most 60 halvings).  Each step costs
-    O(n + m) plus a scan of the pairs in two slabs facing each other (see
-    `_cloud_gap`); only clouds that interleave make it O(nm) time.  Memory
+    bisection (tolerance 1e-3, at most 60 halvings).  A step settles in
+    O(1) when the distance of a witness pair lies below target - 1e-3, or
+    the gap between the clouds' ranges along the push above
+    target + 1e-3.  Any other step takes the exact gap, started from the
+    witness, which it then replaces by the closest pair: O(n + m) plus a
+    scan of the pairs in two slabs facing each other (see `_cloud_gap`);
+    only clouds that interleave make it O(nm) time.  Every step decides as
+    a dense scan would, so the result is the same bit for bit.  Memory
     stays O(n + m) plus one block of GAP_BLOCK pairs.
 
     The push keeps X's shape only while it leaves distinct points distinct
@@ -423,12 +461,39 @@ def place_clouds(
     phi = float(rng.uniform(-math.pi, math.pi))
     direction = np.array([math.cos(phi), math.sin(phi)])
 
-    # The bisection reads only whether a distance is within 1e-3 of the
-    # target and on which side, so outside target +- 2e-3 any pair distance
-    # on the right side serves (see `_cloud_gap`).
+    # The bisection reads only on which side of target +- 1e-3 a distance
+    # lies, so any value that its tests place on the same side serves: a
+    # pair distance when the distance is outside target +- 2e-3 (see
+    # `_cloud_gap`), an upper bound below the window or a lower bound above
+    # it.  The upper bound is the distance of the witness pair, in the
+    # dense scan's arithmetic: first the rearmost point of X and the
+    # foremost point of Y along the push, then the closest pair of the
+    # last exact call.  The lower bound is the gap between the clouds'
+    # ranges along the push, less a margin far above their rounding error.
+    (px, py), (qx, qy), (wx, wy) = x0.points.T, y.points.T, direction
+    along_x, along_y = x0.points @ direction, y.points @ direction
+    x_min, x_max = float(along_x.min()), float(along_x.max())
+    y_min, y_max = float(along_y.min()), float(along_y.max())
+    scale = max(float(np.abs(x0.points).max()), float(np.abs(y.points).max()))
+    witness = [int(along_x.argmin()), int(along_y.argmax())]
+
     def dist_at(t: float) -> float:
+        i, j = witness
+        dx = (px[i] + t * wx) - qx[j]
+        dy = (py[i] + t * wy) - qy[j]
+        upper = math.sqrt(dx * dx + dy * dy)
+        if upper < target_dist and abs(upper - target_dist) > 1e-3:
+            return upper
+        lower = max(y_min - (x_max + t), (x_min + t) - y_max)
+        lower -= 1e-9 * (t + scale)
+        if lower > target_dist and abs(lower - target_dist) > 1e-3:
+            return lower
         return _cloud_gap(
-            x0.points + t * direction, y.points, target_dist - 2e-3, target_dist + 2e-3
+            x0.points + t * direction,
+            y.points,
+            target_dist - 2e-3,
+            target_dist + 2e-3,
+            witness=witness,
         )
 
     lo = target_dist
