@@ -467,8 +467,8 @@ def test_place_clouds_matches_brute_force_at_rounding_scales(n):
 
 def test_place_clouds_settles_most_steps_without_the_exact_gap(monkeypatch):
     """Over the 100 pinned placements (n = m = 200, dist 1.5, seeds 42 to
-    141) the bisection takes 10.9 steps on average; bounds from the last
-    closest pair and from the push direction settle all but a few."""
+    141) the bisection takes 10.9 steps on average; bounds from a witness
+    pair and from the push direction settle all but a few."""
     real = acakit.geometry._cloud_gap
     calls = []
 
