@@ -200,35 +200,29 @@ def _nearest(points: np.ndarray, p) -> tuple[int, float]:
 def _cloud_gap(
     p: np.ndarray,
     q: np.ndarray,
+    start: int,
     lower: float = 0.0,
     upper: float = math.inf,
-    witness: list[int] | None = None,
-) -> float:
-    """Distance of some pair of the point sets p (n, 2) and q (m, 2).
+) -> tuple[float, int, int]:
+    """Distance of some pair (p[i], q[j]) of the point sets p (n, 2) and
+    q (m, 2), returned as (distance, i, j).
 
-    It is the smallest one, bitwise equal to the minimum of a dense scan,
-    whenever that minimum lies in [lower, upper]; otherwise it lies on the
-    same side of the interval as the minimum.
+    The distance is the smallest one, bitwise equal to the minimum of a
+    dense scan, whenever that minimum lies in [lower, upper]; otherwise it
+    lies on the same side of the interval as the minimum.
 
     An upper bound u and a direction w come from alternating nearest
-    points: at most GAP_ROUNDS rounds, none after the pair repeats.  They
-    start at p[i] when a witness [i, j] is passed, usually the closest pair
-    of a nearby query, which a single round then confirms; otherwise at the
-    point of p farthest toward q's barycenter.  A pair closer than
+    points, starting at p[start]: at most GAP_ROUNDS rounds, none after the
+    pair repeats.  Started from the closest pair of a nearby query, a
+    single round usually confirms it.  A pair closer than
     r = min(u, upper) is at most r apart along w, so only the points of
     both sets whose projections onto w lie in the overlap of the two sets'
     ranges, widened by r and a rounding margin, are scanned, in blocks of
     GAP_BLOCK pairs.  The bound costs O(n + m); the scan is small for
     separated clouds and O(nm) time at worst, when the slabs take in both
-    clouds, with memory bounded by the block size.  A passed witness is
-    overwritten with the indices of the closest pair found, whose distance
-    is the returned one.
+    clouds, with memory bounded by the block size.
     """
-    if witness is None:
-        toward = q.sum(axis=0) / len(q) - p.sum(axis=0) / len(p)
-        i = int(np.argmax(p @ toward))
-    else:
-        i = witness[0]
+    i = start
     for _ in range(GAP_ROUNDS):
         prev = i
         j, _ = _nearest(q, p[i])
@@ -248,17 +242,15 @@ def _cloud_gap(
         if len(cols_q):
             slab_q = q[cols_q]
             step = max(1, GAP_BLOCK // len(cols_q))
-            for start in range(0, len(rows_p), step):
-                block = _squared_distances(p[rows_p[start : start + step]], slab_q)
+            for first in range(0, len(rows_p), step):
+                block = _squared_distances(p[rows_p[first : first + step]], slab_q)
                 k = int(block.argmin())
                 if block.flat[k] < best:
                     best = float(block.flat[k])
-                    i = int(rows_p[start + k // len(cols_q)])
+                    i = int(rows_p[first + k // len(cols_q)])
                     j = int(cols_q[k % len(cols_q)])
         u = math.sqrt(best)
-    if witness is not None:
-        witness[:] = (i, j)
-    return u
+    return u, i, j
 
 
 def is_admissible(x: PointCloud, y: PointCloud, eta: float = 1.0) -> bool:
@@ -475,9 +467,10 @@ def place_clouds(
     x_min, x_max = float(along_x.min()), float(along_x.max())
     y_min, y_max = float(along_y.min()), float(along_y.max())
     scale = max(float(np.abs(x0.points).max()), float(np.abs(y.points).max()))
-    witness = [int(along_x.argmin()), int(along_y.argmax())]
+    witness = int(along_x.argmin()), int(along_y.argmax())
 
     def dist_at(t: float) -> float:
+        nonlocal witness
         i, j = witness
         dx = (px[i] + t * wx) - qx[j]
         dy = (py[i] + t * wy) - qy[j]
@@ -488,13 +481,15 @@ def place_clouds(
         lower -= 1e-9 * (t + scale)
         if lower > target_dist and abs(lower - target_dist) > 1e-3:
             return lower
-        return _cloud_gap(
+        gap, i, j = _cloud_gap(
             x0.points + t * direction,
             y.points,
+            i,
             target_dist - 2e-3,
             target_dist + 2e-3,
-            witness=witness,
         )
+        witness = i, j
+        return gap
 
     lo = target_dist
     hi = target_dist + x0.diameter + y.diameter + 1.0

@@ -145,20 +145,23 @@ def test_diameter_degenerate_cases():
 
 # --- distances and admissibility ----------------------------------------
 
-# The true distance dist(X, Y) of two clouds is `_cloud_gap` of their points
-# with the default bounds.
+def cloud_distance(p, q):
+    """The true distance dist(X, Y) of two point sets: `_cloud_gap` with its
+    default bounds, started from p's first point."""
+    return _cloud_gap(p, q, 0)[0]
+
 
 def test_true_distance_examples():
     x = np.array([[0.0, 0.0]])
     y = np.array([[3.0, 4.0]])
-    assert _cloud_gap(x, y) == pytest.approx(5.0, abs=1e-15)
+    assert cloud_distance(x, y) == pytest.approx(5.0, abs=1e-15)
     shared = np.array([[3.0, 4.0], [9.0, 9.0]])
-    assert _cloud_gap(y, shared) == 0.0
+    assert cloud_distance(y, shared) == 0.0
 
 
 def test_true_distance_corner_squares():
     # Closest corners are (0.5, +-0.5) and (2.5, +-0.5).
-    gap = _cloud_gap(corner_square(0.0).points, corner_square(3.0).points)
+    gap = cloud_distance(corner_square(0.0).points, corner_square(3.0).points)
     assert gap == pytest.approx(2.0, abs=1e-15)
 
 
@@ -376,7 +379,7 @@ def test_generate_cloud_validation():
 def test_place_clouds_hits_target_distance():
     for seed, dist in [(0, 1.5), (1, 2.5), (2, 5.0), (3, 1.5)]:
         x, y, _ = place_clouds(1.0, 80, 60, dist, np.random.default_rng(seed))
-        assert abs(_cloud_gap(x.points, y.points) - dist) <= 1e-3
+        assert abs(cloud_distance(x.points, y.points) - dist) <= 1e-3
         assert len(x) == 80 and len(y) == 60
 
 
@@ -388,9 +391,15 @@ def test_place_clouds_deterministic():
     assert t1 == t2
 
 
-def brute_force_place_clouds(xi, n, m, target_dist, rng):
-    """Reference placement: the same draws and bisection, with every step a
-    dense cdist scan over all n x m pairs.
+def dense_gap(p, q):
+    """Smallest distance of a dense cdist scan over all pairs."""
+    return float(cdist(p, q).min())
+
+
+def brute_force_place_clouds(xi, n, m, target_dist, rng, gap=dense_gap):
+    """Reference placement: the same draws and bisection, with every step
+    taking the distance `gap(moved X points, Y points)`, by default a dense
+    cdist scan over all n x m pairs.
 
     Returns (X points, Y points, theta, retried), where `retried` says the
     bracket was restarted from zero displacement.
@@ -404,7 +413,7 @@ def brute_force_place_clouds(xi, n, m, target_dist, rng):
 
     def dist_at(t):
         moved = x0.points + t * direction
-        return float(cdist(moved, y.points).min()), moved
+        return gap(moved, y.points), moved
 
     lo = target_dist
     hi = target_dist + x0.diameter + y.diameter + 1.0
@@ -482,30 +491,53 @@ def test_place_clouds_settles_most_steps_without_the_exact_gap(monkeypatch):
     assert len(calls) <= 5 * 100
 
 
+def test_place_clouds_starts_each_exact_gap_from_the_last_closest_pair(
+    monkeypatch,
+):
+    """Within a placement, every exact gap after the first starts from the
+    point of X in the closest pair that the previous one returned."""
+    real = acakit.geometry._cloud_gap
+    placements = []
+
+    def recorded(p, q, start, *args):
+        result = real(p, q, start, *args)
+        placements[-1].append((start, result[1]))
+        return result
+
+    monkeypatch.setattr(acakit.geometry, "_cloud_gap", recorded)
+    for seed in range(42, 62):
+        placements.append([])
+        place_clouds(1.0, 200, 200, 1.5, np.random.default_rng(seed))
+    chained = 0
+    for calls in placements:
+        for (_, closest), (start, _) in zip(calls, calls[1:]):
+            assert start == closest
+            chained += 1
+    assert chained >= 20
+
+
 def test_true_distance_matches_cdist_min():
     rng = np.random.default_rng(11)
     for n, m in [(1, 1), (1, 40), (40, 1), (50, 70), (300, 200)]:
         x = rng.uniform(-1.0, 1.0, size=(n, 2))
         y = rng.uniform(0.5, 3.0, size=(m, 2))
-        assert _cloud_gap(x, y) == cdist(x, y).min()
+        assert cloud_distance(x, y) == cdist(x, y).min()
     shared = rng.uniform(-1.0, 1.0, size=(30, 2))
     x = shared[:20]
     y = shared[15:]
-    assert _cloud_gap(x, y) == 0.0 == cdist(x, y).min()
+    assert cloud_distance(x, y) == 0.0 == cdist(x, y).min()
 
 
-def test_cloud_gap_overwrites_the_witness_with_the_closest_pair():
-    """Started from any pair, the gap is still the dense minimum, and the
-    witness comes back as a pair at that distance."""
+def test_cloud_gap_returns_a_closest_pair_from_any_start():
+    """Started from any point of p, the gap is still the dense minimum, and
+    the pair returned with it lies at that distance."""
     rng = np.random.default_rng(14)
     for n, m in [(1, 1), (1, 40), (50, 70), (300, 200)]:
         x = rng.uniform(-1.0, 1.0, size=(n, 2))
         y = rng.uniform(0.5, 3.0, size=(m, 2))
-        for start in ([0, 0], [n - 1, m // 2]):
-            witness = list(start)
-            d = _cloud_gap(x, y, witness=witness)
+        for start in (0, n // 2, n - 1):
+            d, i, j = _cloud_gap(x, y, start)
             assert d == cdist(x, y).min()
-            i, j = witness
             assert cdist(x[i : i + 1], y[j : j + 1])[0, 0] == d
 
 
@@ -513,7 +545,7 @@ def test_true_distance_coincident_cross_point():
     rng = np.random.default_rng(12)
     x = rng.uniform(-1.0, 0.0, size=(40, 2))
     y = np.vstack([rng.uniform(2.0, 3.0, size=(40, 2)), x[17]])
-    assert _cloud_gap(x, y) == 0.0
+    assert cloud_distance(x, y) == 0.0
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e8])
@@ -522,7 +554,7 @@ def test_true_distance_extreme_scales_match_cdist(scale):
     for n, m in [(1, 30), (60, 80), (300, 200)]:
         x = scale * rng.uniform(-1.0, 1.0, size=(n, 2))
         y = scale * rng.uniform(0.5, 3.0, size=(m, 2))
-        assert _cloud_gap(x, y) == cdist(x, y).min()
+        assert cloud_distance(x, y) == cdist(x, y).min()
 
 
 def record_gap_queries(monkeypatch):
@@ -531,10 +563,10 @@ def record_gap_queries(monkeypatch):
     real = acakit.geometry._cloud_gap
     queries = []
 
-    def recorded(p, q, lower, upper, **kwargs):
-        d = real(p, q, lower, upper, **kwargs)
-        queries.append((p, q, d))
-        return d
+    def recorded(p, q, *args):
+        result = real(p, q, *args)
+        queries.append((p, q, result[0]))
+        return result
 
     monkeypatch.setattr(acakit.geometry, "_cloud_gap", recorded)
     return queries
@@ -544,21 +576,33 @@ def record_gap_queries(monkeypatch):
     "xi,target", [(1.0, 1.5), (0.3, 2.5), (0.1, 1.5), (1.0, 0.5), (0.3, 0.5)]
 )
 def test_cloud_gap_makes_kd_tree_bisection_decisions(xi, target, monkeypatch):
-    """At n = 2000, where a dense reference is slow, every bisection step
-    reads the same decision from the gap as from a k-d tree query: within
-    1e-3 of the target or not, and on which side.  Target 0.5 starts from
-    overlapping clouds."""
+    """At n = 2000, where a dense reference is slow, every step that takes
+    the exact gap reads the same decision from it as from a k-d tree query:
+    within 1e-3 of the target or not, and on which side.  The steps that
+    the O(1) bounds settle never reach the gap; they are checked through
+    the result, which equals a bisection whose every step is a k-d tree
+    query.  Target 0.5 starts from overlapping clouds."""
     spatial = pytest.importorskip("scipy.spatial")
-    queries = record_gap_queries(monkeypatch)
-    for seed in range(14):
-        place_clouds(xi, 2000, 2000, target, np.random.default_rng(seed))
+
+    def kd_tree_gap(p, q):
+        return float(spatial.cKDTree(q).query(p)[0].min())
 
     def decision(d):
         return abs(d - target) <= 1e-3, d < target
 
+    queries = record_gap_queries(monkeypatch)
+    for seed in range(14):
+        x, y, theta = place_clouds(xi, 2000, 2000, target, np.random.default_rng(seed))
+        rx, ry, rtheta, _ = brute_force_place_clouds(
+            xi, 2000, 2000, target, np.random.default_rng(seed), gap=kd_tree_gap
+        )
+        assert np.array_equal(x.points, rx), seed
+        assert np.array_equal(y.points, ry), seed
+        assert theta == rtheta
+
     assert len(queries) >= 30
     for p, q, d in queries:
-        exact = float(spatial.cKDTree(q).query(p)[0].min())
+        exact = kd_tree_gap(p, q)
         assert decision(d) == decision(exact)
         assert d >= exact
 
@@ -598,7 +642,7 @@ def test_place_clouds_retries_from_zero_displacement():
     assert retried
     assert np.array_equal(x.points, rx) and np.array_equal(y.points, ry)
     assert theta == rtheta
-    assert abs(_cloud_gap(x.points, y.points) - 0.5) <= 1e-3
+    assert abs(cloud_distance(x.points, y.points) - 0.5) <= 1e-3
 
 
 def test_place_clouds_unreachable_target():
