@@ -55,6 +55,8 @@ def _parse_gen(text: str) -> dict:
         key = key.strip()
         if not sep or key not in GEN_KEYS:
             raise ValueError(f"bad --gen entry {part!r}; keys are {GEN_KEYS}")
+        if key in out:
+            raise ValueError(f"--gen repeats key {key!r}")
         out[key] = value.strip()
     missing = [k for k in GEN_KEYS if k not in out]
     if missing:
@@ -120,12 +122,14 @@ def _cmd_approximate(args) -> int:
         print("warning: clouds fail the admissibility test", file=sys.stderr)
     n, m = len(x), len(y)
     k_max = resolve_k_max(args.max_rank, n, m)
+    # Checked before the default radius rule reads k_max, so a bad
+    # --max-rank is reported as such whatever --method and --central say.
+    stop = StoppingParams(epsilon=args.epsilon, k_max=k_max)
     central = (
         args.central
         if args.central is not None
         else default_epsilon_r(k_max, min(n, m))
     )
-    stop = StoppingParams(epsilon=args.epsilon, k_max=k_max)
     kernel = KernelHandle()
     if args.method == "aca":
         skeleton = aca(x, y, kernel, stop, rng)
@@ -203,8 +207,8 @@ def _cmd_benchmark(args) -> int:
 def _cmd_sweep_central(args) -> int:
     values = _parse_central_range(args.central)
     config = _benchmark_config(args, epsilon_r=values[0])
-    points = run_eps_sweep(config, values, args.threads)
-    _emit(render_sweep_csv(points, config), args.out)
+    stats = run_eps_sweep(config, values, args.threads)
+    _emit(render_sweep_csv(values, stats, config), args.out)
     return 0
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "ExperimentConfig",
     "RankStats",
     "RealizationResult",
-    "SweepPoint",
     "aggregate",
     "render_benchmark_csv",
     "render_sweep_csv",
@@ -127,17 +126,6 @@ class RankStats:
     gain_log_std: float | None
     inf_gain_count: int
     kernel_evals_mean: dict[str, float]
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Gain statistics of one (epsilon_r, rank) cell of a sweep."""
-
-    epsilon_r: float
-    rank: int
-    gain_log_mean: float | None
-    gain_log_std: float | None
-    inf_gain_count: int
 
 
 def _per_rank_counts(skeleton: Skeleton, total: int, k_max: int) -> np.ndarray:
@@ -369,16 +357,16 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> list[RankStats]
 
 def run_eps_sweep(
     config: ExperimentConfig, eps_values: list[float], threads: int = 1
-) -> list[SweepPoint]:
+) -> list[list[RankStats]]:
     """Run the benchmark over a grid of central radius fractions.
 
-    Only the geometry-aided run depends on the radius.  Each realization
-    is placed, approximated by classical ACA, assembled densely and given
-    its SVD floors once, and that record is shared by every grid value;
-    the geometry-aided run of each value resumes the realization's RNG
-    stream where the classical run left it.  The points equal those of
-    `run_benchmark` run separately at each value.  Every grid value is
-    validated before the first realization.
+    Entry k is what `run_benchmark(replace(config, epsilon_r=eps_values[k]))`
+    returns.  Only the geometry-aided run depends on the radius.  Each
+    realization is placed, approximated by classical ACA, assembled
+    densely and given its SVD floors once, and that record is shared by
+    every grid value; the geometry-aided run of each value resumes the
+    realization's RNG stream where the classical run left it.  Every grid
+    value is validated before the first realization.
 
     `threads` caps the worker processes as in `run_realizations`, with
     realizations x grid values runs counted against MIN_RUNS_PER_WORKER;
@@ -388,20 +376,7 @@ def run_eps_sweep(
     if not eps_values:
         raise ValueError("empty epsilon_r grid")
     configs = [replace(config, epsilon_r=eps) for eps in eps_values]
-    results = _run_grid(configs, threads)
-    points: list[SweepPoint] = []
-    for eps, per_eps in zip(eps_values, results):
-        points.extend(
-            SweepPoint(
-                epsilon_r=eps,
-                rank=s.rank,
-                gain_log_mean=s.gain_log_mean,
-                gain_log_std=s.gain_log_std,
-                inf_gain_count=s.inf_gain_count,
-            )
-            for s in aggregate(per_eps)
-        )
-    return points
+    return [aggregate(results) for results in _run_grid(configs, threads)]
 
 
 # --- CSV ---------------------------------------------------------------
@@ -464,10 +439,14 @@ def render_benchmark_csv(stats: list[RankStats], config: ExperimentConfig) -> st
     return "\n".join(lines) + "\n"
 
 
-def render_sweep_csv(points: list[SweepPoint], config: ExperimentConfig) -> str:
+def render_sweep_csv(
+    eps_values: list[float], stats: list[list[RankStats]], config: ExperimentConfig
+) -> str:
+    """One row per (epsilon_r, rank) of a sweep's gain statistics."""
     lines = _csv_header(config)
     lines.append("epsilon_r,rank,gain_log_mean,gain_log_std,inf_gain_count")
-    for p in points:
-        gm, gs, ic = _gain_cells(p.gain_log_mean, p.gain_log_std, p.inf_gain_count)
-        lines.append(f"{_fmt(p.epsilon_r)},{p.rank},{gm},{gs},{ic}")
+    for eps, per_eps in zip(eps_values, stats):
+        for s in per_eps:
+            gm, gs, ic = _gain_cells(s.gain_log_mean, s.gain_log_std, s.inf_gain_count)
+            lines.append(f"{_fmt(eps)},{s.rank},{gm},{gs},{ic}")
     return "\n".join(lines) + "\n"

@@ -545,7 +545,11 @@ def cloud_from_json(text: str) -> PointCloud:
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError('cloud JSON must be an object with a "points" key')
     try:
-        points = np.asarray(data["points"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        entries = np.asarray(data["points"], dtype=object)
+        points = entries.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f'cloud JSON "points" must be numeric: {exc}') from None
+    # numpy converts the strings "1" and the booleans true and false too.
+    if not all(type(v) in (int, float) for v in entries.flat):
+        raise ValueError('cloud JSON "points" must hold JSON numbers only')
     return PointCloud(points)

@@ -301,7 +301,12 @@ def test_unbounded_sweep_range_exit_code(central, message):
 
 
 @pytest.mark.parametrize(
-    "points", [{"a": 1}, [[0.0, {"b": 2}]], [[0.0, "x"]]], ids=["dict", "nested", "string"]
+    "points",
+    [
+        {"a": 1}, [[0.0, {"b": 2}]], [[0.0, "x"]], [["1", "2"]], [[True, False]],
+        [[1, True]], [[10**400, 1]],
+    ],
+    ids=["dict", "nested", "string", "digit-strings", "bools", "one-bool", "huge-int"],
 )
 def test_non_numeric_points_exit_code(tmp_path, points):
     bad = tmp_path / "bad.json"
@@ -328,6 +333,27 @@ def test_approximate_subnormal_central_fraction():
 def test_approximate_bad_gen_string(capsys):
     assert main(["approximate", "--gen", "xi=1,n=10"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_approximate_repeated_gen_key(capsys):
+    assert main(["approximate", "--gen", "xi=1,n=5,m=5,dist=2,dist=3"]) == 2
+    captured = capsys.readouterr()
+    error = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1 and "'dist'" in error[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("method", ["aca", "acagp"])
+@pytest.mark.parametrize("central", [[], ["--central", "0.5"]], ids=["default", "given"])
+def test_approximate_zero_max_rank_message(method, central, capsys):
+    argv = [
+        "approximate", "--gen", "xi=1,n=20,m=20,dist=2", "--force",
+        "--method", method, "--max-rank", "0", *central,
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: k_max must be at least 1\n"
+    assert captured.out == ""
 
 
 def test_approximate_bad_cloud_file(tmp_path, capsys):

@@ -25,7 +25,6 @@ from acakit.experiments import (
     ExperimentConfig,
     RankStats,
     RealizationResult,
-    SweepPoint,
     _classical,
     _per_rank_counts,
     _worker_count,
@@ -269,15 +268,30 @@ def test_eps_sweep_shares_seeds_across_fractions():
         n=80, m=80, target_dist=1.5, realizations=30, k_max=4,
         epsilon_r=0.1, base_seed=7,
     )
-    points = run_eps_sweep(cfg, [0.1, 0.25, 0.5])
-    assert len(points) == 3 * 4
-    rank1 = [p for p in points if p.rank == 1]
-    assert len({p.epsilon_r for p in rank1}) == 3
+    sweep = run_eps_sweep(cfg, [0.1, 0.25, 0.5])
+    assert [[s.rank for s in stats] for stats in sweep] == [[1, 2, 3, 4]] * 3
     # Rank 1 ignores the central fraction entirely.
-    assert len({p.gain_log_mean for p in rank1}) == 1
+    assert len({stats[0].gain_log_mean for stats in sweep}) == 1
     # Rank 2 is nearly neutral to it (the pool ordering shifts slightly).
-    rank2 = sorted(p.gain_log_mean for p in points if p.rank == 2)
+    rank2 = sorted(stats[1].gain_log_mean for stats in sweep)
     assert math.log10(rank2[-1] / rank2[0]) < 0.35
+
+
+def sweep_csvs(cfg, grid, threads=1):
+    """Each entry of `run_eps_sweep` as `render_benchmark_csv` writes it
+    at its radius."""
+    sweep = run_eps_sweep(cfg, grid, threads)
+    assert len(sweep) == len(grid)
+    return [
+        render_benchmark_csv(stats, replace(cfg, epsilon_r=eps))
+        for eps, stats in zip(grid, sweep)
+    ]
+
+
+def benchmark_csvs(cfg, grid):
+    """The CSV of a serial `run_benchmark` at each grid value."""
+    configs = [replace(cfg, epsilon_r=eps) for eps in grid]
+    return [render_benchmark_csv(run_benchmark(at), at) for at in configs]
 
 
 def geometric_realization(cfg, index):
@@ -313,18 +327,7 @@ def test_eps_sweep_matches_per_radius_benchmark(n, m):
         n=n, m=m, target_dist=2.0, realizations=5, k_max=4, epsilon_r=0.1
     )
     grid = [0.1, 0.25, 0.5]
-    expected = [
-        SweepPoint(
-            epsilon_r=eps,
-            rank=s.rank,
-            gain_log_mean=s.gain_log_mean,
-            gain_log_std=s.gain_log_std,
-            inf_gain_count=s.inf_gain_count,
-        )
-        for eps in grid
-        for s in run_benchmark(replace(cfg, epsilon_r=eps))
-    ]
-    assert run_eps_sweep(cfg, grid) == expected
+    assert sweep_csvs(cfg, grid) == benchmark_csvs(cfg, grid)
     # A record computed at another radius gives the same realization.
     for i in range(cfg.realizations):
         wide = replace(cfg, epsilon_r=0.5)
@@ -491,14 +494,24 @@ def pooled_sweeps(draw):
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(sweep=pooled_sweeps())
 def test_pooled_sweeps_match_serial(sweep):
-    """A sweep's points do not depend on the worker count; the pooled
+    """A sweep's statistics do not depend on the worker count; the pooled
     run reads its probes from the dense matrix inside the workers."""
     cfg, grid = sweep
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
         assert _worker_count(2, cfg.realizations, len(grid)) == 2
-        pooled = run_eps_sweep(cfg, grid, threads=2)
-    assert pooled == run_eps_sweep(cfg, grid, threads=1)
+        pooled = sweep_csvs(cfg, grid, threads=2)
+    assert pooled == sweep_csvs(cfg, grid)
+
+
+def test_pooled_eps_sweep_matches_per_radius_benchmark(monkeypatch):
+    monkeypatch.setattr(acakit.experiments, "_usable_cpus", lambda: 2)
+    cfg = ExperimentConfig(
+        n=30, m=45, target_dist=2.0, realizations=67, k_max=4, epsilon_r=0.1
+    )
+    grid = [0.1, 0.25, 0.5]
+    assert _worker_count(2, cfg.realizations, len(grid)) == 2
+    assert sweep_csvs(cfg, grid, threads=2) == benchmark_csvs(cfg, grid)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
@@ -611,7 +624,8 @@ def test_sweep_csv_layout():
     cfg = ExperimentConfig(
         n=40, m=40, target_dist=2.0, realizations=3, k_max=2, epsilon_r=0.1
     )
-    text = render_sweep_csv(run_eps_sweep(cfg, [0.1, 0.5]), cfg)
+    grid = [0.1, 0.5]
+    text = render_sweep_csv(grid, run_eps_sweep(cfg, grid), cfg)
     lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
     assert lines[0] == "epsilon_r,rank,gain_log_mean,gain_log_std,inf_gain_count"
     assert len(lines) == 1 + 2 * 2
