@@ -141,9 +141,13 @@ def central_subset(
     dist = _distances_to(cloud.points, cloud.points[pivot_index])
     eps = epsilon_r
     idx = np.flatnonzero(dist <= eps * cloud.diameter)
-    while idx.size < required:
-        # nextafter: 1.1 * eps rounds back to eps for the smallest subnormals.
-        eps = max(eps * 1.1, math.nextafter(eps, math.inf))
+    if idx.size < required:
+        # The subset holds `required` points once the radius reaches the
+        # required-th smallest distance: grow the fraction on scalars.
+        reach = float(np.partition(dist, required - 1)[required - 1])
+        while reach > eps * cloud.diameter:
+            # nextafter: 1.1 * eps rounds back to eps for the smallest subnormals.
+            eps = max(eps * 1.1, math.nextafter(eps, math.inf))
         idx = np.flatnonzero(dist <= eps * cloud.diameter)
     return idx, eps
 

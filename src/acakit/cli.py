@@ -244,10 +244,8 @@ def _cmd_genetic(args) -> int:
             "rank,i,j,rel_error",
         ]
         for rank_idx, grid in enumerate(result.grids, start=1):
-            for i in range(grid.shape[0]):
-                for j in range(grid.shape[1]):
-                    if not np.isnan(grid[i, j]):
-                        glines.append(f"{rank_idx},{i},{j},{_fmt(grid[i, j])}")
+            for i, j in np.argwhere(~np.isnan(grid)):
+                glines.append(f"{rank_idx},{i},{j},{_fmt(grid[i, j])}")
         Path(args.grid_out).write_text("\n".join(glines) + "\n")
     return 0
 

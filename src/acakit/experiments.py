@@ -304,48 +304,36 @@ def run_realizations(
 def aggregate(results: list[RealizationResult]) -> list[RankStats]:
     """Log-domain statistics per rank over a set of realizations.
 
-    Concatenation-safe: aggregating the union of two result lists equals
-    aggregating all results at once.
+    Each RankStats value is one reduction along a row of a C-contiguous
+    rank x realization array per method, built once; contiguous rows sum
+    in the order of a rank's own sample.  Logs are taken above LOG_FLOOR.
     """
     if not results:
         raise ValueError("nothing to aggregate")
-    k_max = results[0].gains.shape[0]
+
+    def by_rank(rows: list[np.ndarray]) -> np.ndarray:
+        return np.array(rows).T.copy()
+
+    e_log_mean, e_log_std, evals_mean = {}, {}, {}
+    for method in METHODS:
+        errors = by_rank([r.errors[method] for r in results])
+        logs = np.log10(np.maximum(errors, LOG_FLOOR))
+        e_log_mean[method] = logs.mean(axis=1).tolist()
+        e_log_std[method] = logs.std(axis=1).tolist()
+        counts = by_rank([r.eval_counts[method] for r in results])
+        evals_mean[method] = counts.mean(axis=1).tolist()
     stats: list[RankStats] = []
-    for l in range(k_max):
-        e_log_mean: dict[str, float] = {}
-        e_log_std: dict[str, float] = {}
-        evals_mean: dict[str, float] = {}
-        for method in METHODS:
-            logs = np.log10(
-                np.maximum([r.errors[method][l] for r in results], LOG_FLOOR)
-            )
-            e_log_mean[method] = float(np.mean(logs))
-            e_log_std[method] = float(np.std(logs))
-            evals_mean[method] = float(
-                np.mean([r.eval_counts[method][l] for r in results])
-            )
-        gains = np.array([r.gains[l] for r in results])
-        unbounded = np.isnan(gains)
-        finite = gains[~unbounded]
-        inf_count = int(unbounded.sum())
-        if finite.size:
-            glogs = np.log10(np.maximum(finite, LOG_FLOOR))
-            gain_log_mean: float | None = float(10.0 ** np.mean(glogs))
-            gain_log_std: float | None = float(np.std(glogs))
-        else:
-            gain_log_mean = None
-            gain_log_std = None
-        stats.append(
-            RankStats(
-                rank=l + 1,
-                e_log_mean=e_log_mean,
-                e_log_std=e_log_std,
-                gain_log_mean=gain_log_mean,
-                gain_log_std=gain_log_std,
-                inf_gain_count=inf_count,
-                kernel_evals_mean=evals_mean,
-            )
-        )
+    for l, gains in enumerate(by_rank([r.gains for r in results])):
+        glogs = np.log10(np.maximum(gains[~np.isnan(gains)], LOG_FLOOR))
+        stats.append(RankStats(
+            rank=l + 1,
+            e_log_mean={m: e_log_mean[m][l] for m in METHODS},
+            e_log_std={m: e_log_std[m][l] for m in METHODS},
+            gain_log_mean=float(10.0 ** glogs.mean()) if glogs.size else None,
+            gain_log_std=float(glogs.std()) if glogs.size else None,
+            inf_gain_count=gains.size - glogs.size,
+            kernel_evals_mean={m: evals_mean[m][l] for m in METHODS},
+        ))
     return stats
 
 

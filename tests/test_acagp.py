@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acakit.acagp import (
+    CENTRAL_MARGIN,
     CircleHeuristics,
     GpOptions,
     _walk_candidates,
@@ -22,6 +23,7 @@ from acakit.geometry import (
     PointCloud,
     _circle_distances,
     _cross2,
+    _distances_to,
     circumcircle,
     place_clouds,
 )
@@ -159,6 +161,57 @@ def test_central_subset_rejects_bad_fraction():
     x, _, _ = pair(3, n=20, m=10)
     with pytest.raises(ValueError):
         central_subset(x, 0, 5, 0.0)
+
+
+def _central_subset_reference(cloud, pivot_index, k_max, epsilon_r):
+    """Re-filter the cloud at every growth step: the loop that
+    `central_subset`'s scalar growth must reproduce exactly."""
+    required = min(len(cloud), k_max + CENTRAL_MARGIN)
+    dist = _distances_to(cloud.points, cloud.points[pivot_index])
+    eps = epsilon_r
+    idx = np.flatnonzero(dist <= eps * cloud.diameter)
+    while idx.size < required:
+        eps = max(eps * 1.1, math.nextafter(eps, math.inf))
+        idx = np.flatnonzero(dist <= eps * cloud.diameter)
+    return idx, eps
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_central_subset_matches_refiltering_loop(seed):
+    # Random, duplicated and collinear clouds, with fractions from the
+    # smallest subnormal (thousands of growth steps) to the whole cloud.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    pts = rng.uniform(-1.0, 1.0, size=(n, 2)) * 10.0 ** rng.uniform(-3, 3)
+    if seed % 3 == 1:
+        pts = pts[rng.integers(0, max(1, n // 3), n)]  # repeated points
+    elif seed % 3 == 2:
+        pts[:, 1] = 0.5 * pts[:, 0]  # collinear
+    cloud = PointCloud(pts)
+    pivot = int(rng.integers(0, n))
+    k_max = int(rng.integers(1, n + 1))
+    for eps_r in (1e-323, 1e-300, 0.01, 0.25, 0.7, 1.0):
+        idx, eps = central_subset(cloud, pivot, k_max, eps_r)
+        ref_idx, ref_eps = _central_subset_reference(cloud, pivot, k_max, eps_r)
+        assert np.array_equal(idx, ref_idx)
+        assert eps == ref_eps
+
+
+def test_central_subset_growth_stops_on_a_point_at_the_radius():
+    # Symmetric cloud about the pivot at the origin, diameter exactly 2.
+    # Nine points lie within 0.1 * 2; the 10th nearest sits exactly at the
+    # first grown radius, which holds it, so growth stops there.
+    r = 0.1 * 1.1 * 2.0
+    ys = [0.01, 0.02, 0.05, 0.1, r]
+    pts = [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]
+    pts += [[0.0, s * v] for v in ys for s in (1.0, -1.0)]
+    cloud = PointCloud(np.array(pts))
+    assert cloud.diameter == 2.0
+    idx, eps = central_subset(cloud, 0, 2, 0.1)  # 2 + CENTRAL_MARGIN = 10
+    assert eps == 0.1 * 1.1
+    np.testing.assert_array_equal(idx, [0, *range(3, 13)])
+    ref_idx, ref_eps = _central_subset_reference(cloud, 0, 2, 0.1)
+    assert eps == ref_eps and np.array_equal(idx, ref_idx)
 
 
 # --- rank-2 circle search -------------------------------------------------------

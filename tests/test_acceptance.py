@@ -10,6 +10,7 @@ in perfbench/expected.json.
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import acakit
 from acakit.acagp import GpOptions, aca_gp, epsilon_r_rule
 from acakit.cli import main
 from acakit.experiments import (
@@ -262,6 +264,9 @@ def test_criterion_07_genetic_oracle_consistency():
 def test_criterion_08_parallel_determinism(tmp_path):
     """The reference benchmark emits byte-identical CSV with 1 worker
     and with 4."""
+    # The subprocess finds the package where this one was imported from,
+    # so a bare `pytest` (src on sys.path only through pyproject) works.
+    env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
     files = []
     for threads in (1, 4):
         out = tmp_path / f"bench_t{threads}.csv"
@@ -272,7 +277,7 @@ def test_criterion_08_parallel_determinism(tmp_path):
             "--central", "0.25", "--seed", "42",
             "--threads", str(threads), "--out", str(out),
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         files.append(out.read_bytes())
     ok = files[0] == files[1]

@@ -177,6 +177,94 @@ def test_aggregate_order_independent():
             )
 
 
+def _aggregate_per_rank_reference(results):
+    """The per-rank loop that gathers every rank's sample anew from each
+    result: the reference that `aggregate` must match bit for bit."""
+    stats = []
+    for l in range(results[0].gains.shape[0]):
+        e_log_mean, e_log_std, evals_mean = {}, {}, {}
+        for method in METHODS:
+            logs = np.log10(
+                np.maximum(
+                    [r.errors[method][l] for r in results],
+                    acakit.experiments.LOG_FLOOR,
+                )
+            )
+            e_log_mean[method] = float(np.mean(logs))
+            e_log_std[method] = float(np.std(logs))
+            evals_mean[method] = float(
+                np.mean([r.eval_counts[method][l] for r in results])
+            )
+        gains = np.array([r.gains[l] for r in results])
+        unbounded = np.isnan(gains)
+        finite = gains[~unbounded]
+        if finite.size:
+            glogs = np.log10(np.maximum(finite, acakit.experiments.LOG_FLOOR))
+            gain_log_mean = float(10.0 ** np.mean(glogs))
+            gain_log_std = float(np.std(glogs))
+        else:
+            gain_log_mean = gain_log_std = None
+        stats.append((
+            l + 1, e_log_mean, e_log_std, gain_log_mean, gain_log_std,
+            int(unbounded.sum()), evals_mean,
+        ))
+    return stats
+
+
+def _synthetic_results(count, k_max, rng):
+    """Log-normal errors and gains with the edge cases `aggregate` must
+    keep: rank 1 has zero errors (floored at LOG_FLOOR), rank 2 some NaN
+    gains and rank 3 only NaN gains."""
+    results = []
+    for index in range(count):
+        errors = {m: 10.0 ** rng.normal(-4.0, 1.5, k_max) for m in METHODS}
+        errors["svd"][0] = 0.0
+        errors["aca"][0] = 0.0 if index % 2 else errors["aca"][0]
+        gains = 10.0 ** rng.normal(0.3, 0.8, k_max)
+        gains[1] = math.nan if index % 3 == 0 else gains[1]
+        gains[2] = math.nan
+        results.append(RealizationResult(
+            index=index,
+            theta=0.0,
+            errors=errors,
+            eval_counts={
+                m: np.cumsum(rng.integers(300, 500, k_max)).astype(np.int64)
+                for m in METHODS
+            },
+            gains=gains,
+            central_row_count=0,
+            central_col_count=0,
+        ))
+    return results
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 129, 300])
+def test_aggregate_matches_per_rank_loop_bit_for_bit(count):
+    # Counts on both sides of numpy's pairwise-sum blocks (8 and 128): the
+    # rank x realization reductions must sum in the reference's order.
+    results = _synthetic_results(count, 10, np.random.default_rng(count))
+    stats = aggregate(results)
+    expected = _aggregate_per_rank_reference(results)
+    assert len(stats) == len(expected) == 10
+    for st, (rank, e_mean, e_std, g_mean, g_std, inf_count, evals) in zip(
+        stats, expected
+    ):
+        assert st.rank == rank
+        assert st.e_log_mean == e_mean and st.e_log_std == e_std
+        assert st.kernel_evals_mean == evals
+        assert st.gain_log_mean == g_mean and st.gain_log_std == g_std
+        assert st.inf_gain_count == inf_count
+        for value in [*st.e_log_mean.values(), *st.e_log_std.values(),
+                      *st.kernel_evals_mean.values()]:
+            assert type(value) is float
+        assert type(st.inf_gain_count) is int
+        for value in (st.gain_log_mean, st.gain_log_std):
+            assert value is None or type(value) is float
+    assert stats[0].e_log_mean["svd"] == math.log10(acakit.experiments.LOG_FLOOR)
+    assert stats[2].gain_log_mean is None and stats[2].inf_gain_count == count
+    assert 0 < stats[1].inf_gain_count <= count
+
+
 # --- realizations ------------------------------------------------------------------
 
 def test_run_realization_deterministic():
