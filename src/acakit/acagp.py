@@ -118,7 +118,7 @@ def _nearest_facing(cloud: PointCloud, target: np.ndarray) -> int:
     mask = proj > 0.0
     if not mask.any():
         mask = np.ones(len(cloud), dtype=bool)
-    return int(np.argmin(np.where(mask, dist, np.inf)))
+    return int(np.where(mask, dist, np.inf).argmin())
 
 
 def central_subset(
@@ -140,7 +140,7 @@ def central_subset(
     required = min(len(cloud), k_max + CENTRAL_MARGIN)
     dist = _distances_to(cloud.points, cloud.points[pivot_index])
     eps = epsilon_r
-    idx = np.flatnonzero(dist <= eps * cloud.diameter)
+    idx = (dist <= eps * cloud.diameter).nonzero()[0]
     if idx.size < required:
         # The subset holds `required` points once the radius reaches the
         # required-th smallest distance: grow the fraction on scalars.
@@ -148,7 +148,7 @@ def central_subset(
         while reach > eps * cloud.diameter:
             # nextafter: 1.1 * eps rounds back to eps for the smallest subnormals.
             eps = max(eps * 1.1, math.nextafter(eps, math.inf))
-        idx = np.flatnonzero(dist <= eps * cloud.diameter)
+        idx = (dist <= eps * cloud.diameter).nonzero()[0]
     return idx, eps
 
 
@@ -162,7 +162,7 @@ def _walk_candidates(points, work, circle, probe) -> tuple[int, float]:
     returned; an empty pool gives (-1, 0.0).
     """
     work = np.asarray(work, dtype=np.intp)
-    order = np.argsort(_circle_distances(points[work], circle), kind="stable")
+    order = _circle_distances(points[work], circle).argsort(kind="stable")
     best_j, best_abs, best_val = -1, -1.0, 0.0
     for j in work[order]:
         val = float(probe(int(j)))
@@ -223,7 +223,7 @@ def select_rank3(
     conj_x = conjugate_circle(c2, x.points[i1], y.points[j1] - x.points[i1])
     conj_y = conjugate_circle(c2, y.points[j1], x.points[i1] - y.points[j1])
     rows = np.asarray(ic_work)
-    i3 = int(rows[np.argmin(_circle_distances(x.points[rows], conj_x))])
+    i3 = int(rows[_circle_distances(x.points[rows], conj_x).argmin()])
     j3, pivot = _walk_candidates(
         y.points, jc_work, conj_y, lambda j: builder.residual_probe(i3, j)
     )
@@ -250,9 +250,9 @@ def select_higher(
     cols = np.asarray(jc_work)
     i_t = int(rows[rng.integers(rows.size)])
     probes_j = builder.residual_row_subset(i_t, cols)
-    j_k = int(cols[np.argmax(np.abs(probes_j))])
+    j_k = int(cols[np.abs(probes_j).argmax()])
     probes_i = builder.residual_col_subset(j_k, rows)
-    pos = int(np.argmax(np.abs(probes_i)))
+    pos = int(np.abs(probes_i).argmax())
     return int(rows[pos]), j_k, float(probes_i[pos])
 
 
@@ -312,31 +312,82 @@ def aca_gp(
     k_max or the epsilon stop: the central subsets hold enough candidates
     for every rank up to k_max.
 
+    The run is its head up to the first cross (`_gp_head`), which neither
+    the central radius, the circle mode nor rng changes, and the later
+    ranks (`_gp_resume`); a sweep runs the head once per cloud pair and
+    resumes a copy of it at every radius.
+
     Rank k costs at most k(n+m) + k(|ic|+|jc|) + n + m kernel evaluations.
     """
-    if len(y) > len(x):
-        return _transpose_skeleton(
-            aca_gp(y, x, kernel, stop, opts, rng=rng)
-        )
-    opts = opts or GpOptions()
-    n, m = len(x), len(y)
-    k_max = resolve_k_max(stop.k_max, n, m)
-    eps_r = (
-        opts.epsilon_r
-        if opts.epsilon_r is not None
-        else default_epsilon_r(k_max, min(n, m))
-    )
+    head = _gp_head(x, y, kernel, stop)
+    return _gp_resume(head, head.builder, opts, rng)
+
+
+@dataclass(frozen=True, eq=False)
+class _GpHead:
+    """`aca_gp`'s run up to and including its first cross.
+
+    `builder` holds the run on the pair it solves: (y, x) when `swapped`,
+    that is when y has more points than x.  `done` says that the run ends
+    here: the first pivot is zero, k_max is 1 or the cross meets the
+    epsilon stop.
+    """
+
+    builder: _SkeletonBuilder
+    k_max: int
+    epsilon: float
+    i1: int
+    j1: int
+    swapped: bool
+    done: bool
+
+    def skeleton(
+        self, builder: _SkeletonBuilder, central_rows: int = 0, central_cols: int = 0
+    ) -> Skeleton:
+        """`builder`'s skeleton (the head's own, or a resumed copy's),
+        oriented as `aca_gp` returns it."""
+        s = builder.build(central_rows, central_cols)
+        return _transpose_skeleton(s) if self.swapped else s
+
+
+def _gp_head(
+    x: PointCloud, y: PointCloud, kernel: KernelHandle, stop: StoppingParams
+) -> _GpHead:
+    """Run `aca_gp` on `kernel` up to its first cross: the first pivot,
+    its residual row and column, the floor and stop tests and the cross."""
+    swapped = len(y) > len(x)
+    if swapped:
+        x, y = y, x
+    k_max = resolve_k_max(stop.k_max, len(x), len(y))
     builder = _SkeletonBuilder(x, y, kernel, k_max)
     i1, j1 = first_pivot(x, y)
     row = builder.residual_row(i1)
     p1 = float(row[j1])
-    if abs(p1) <= builder.pivot_floor():
-        return builder.build()
-    col = builder.residual_col(j1)
-    builder.add_cross(i1, j1, p1, row, col, "first")
-    if k_max == 1 or builder.converged(stop.epsilon):
-        return builder.build()
+    done = abs(p1) <= builder.pivot_floor
+    if not done:
+        builder.add_cross(i1, j1, p1, row, builder.residual_col(j1), "first")
+        done = k_max == 1 or builder.converged(stop.epsilon)
+    return _GpHead(builder, k_max, stop.epsilon, i1, j1, swapped, done)
 
+
+def _gp_resume(
+    head: _GpHead,
+    builder: _SkeletonBuilder,
+    opts: GpOptions | None,
+    rng: np.random.Generator,
+) -> Skeleton:
+    """Finish the run that `head` began, as `aca_gp` does, on `builder`:
+    the head's own state, or a copy of it (`_SkeletonBuilder.resumed`),
+    which leaves the head to be resumed again, at another radius."""
+    if head.done:
+        return head.skeleton(builder)
+    opts = opts or GpOptions()
+    x, y, k_max, i1, j1 = builder.x, builder.y, head.k_max, head.i1, head.j1
+    eps_r = (
+        opts.epsilon_r
+        if opts.epsilon_r is not None
+        else default_epsilon_r(k_max, min(len(x), len(y)))
+    )
     # Each subset holds >= k_max points, the first pivot among them, and every
     # selector picks from the work arrays: neither runs dry before k_max.
     ic_idx, _ = central_subset(x, i1, k_max, eps_r)
@@ -344,10 +395,10 @@ def aca_gp(
     ic_work = ic_idx[ic_idx != i1]
     jc_work = jc_idx[jc_idx != j1]
     use_circles = _circles_enabled(opts, x, y)
+    floor, epsilon = builder.pivot_floor, head.epsilon
     c2: Circle | None = None
 
-    while builder.rank < k_max:
-        r_next = builder.rank + 1
+    for r_next in range(2, k_max + 1):
         selection: tuple[int, int, float] | None = None
         selector = "central"
         if r_next == 2 and use_circles:
@@ -365,13 +416,13 @@ def aca_gp(
         if selection is None:
             selection = select_higher(builder, ic_work, jc_work, rng)
         i_k, j_k, pivot = selection
-        if abs(pivot) <= builder.pivot_floor():
+        if abs(pivot) <= floor:
             break
         ic_work = ic_work[ic_work != i_k]
         jc_work = jc_work[jc_work != j_k]
         row = builder.residual_row(i_k)
         col = builder.residual_col(j_k)
         builder.add_cross(i_k, j_k, pivot, row, col, selector)
-        if builder.converged(stop.epsilon):
+        if builder.converged(epsilon):
             break
-    return builder.build(central_rows=ic_idx.size, central_cols=jc_idx.size)
+    return head.skeleton(builder, ic_idx.size, jc_idx.size)

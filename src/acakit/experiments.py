@@ -17,11 +17,11 @@ import numpy as np
 
 from ._pool import _usable_cpus, pool_map
 from ._version import __version__
-from .acagp import GpOptions, aca_gp
+from .acagp import GpOptions, _GpHead, _gp_head, _gp_resume
 from .geometry import PointCloud, place_clouds
 from .kernel import KernelHandle, _MatrixKernel
 from .lowrank import Skeleton, StoppingParams, aca, resolve_k_max
-from .oracle import gain, rank_errors, svd_rank_errors
+from .oracle import _curve_from, _curve_head, gain, rank_errors, svd_rank_errors
 
 __all__ = [
     "ExperimentConfig",
@@ -142,7 +142,10 @@ class _Classical:
     """The part of one realization that no central radius changes.
 
     rng_state is the generator state right after the classical run, where
-    the geometry-aided run picks up the realization's stream.
+    the geometry-aided run picks up the realization's stream.  gp_head is
+    that run up to its first cross (`acagp._gp_head`, read from `a`), and
+    gp_curve its error curve's head (`oracle._curve_head`: |A|_F, the
+    rank-1 residual R_1 and e_1); every radius resumes from both.
     """
 
     x: PointCloud
@@ -153,6 +156,8 @@ class _Classical:
     aca_counts: np.ndarray
     svd_errors: np.ndarray
     rng_state: dict
+    gp_head: _GpHead
+    gp_curve: tuple[float, np.ndarray | None, float]
 
 
 def _stopping(config: ExperimentConfig) -> StoppingParams:
@@ -162,11 +167,13 @@ def _stopping(config: ExperimentConfig) -> StoppingParams:
 
 def _classical(config: ExperimentConfig, index: int) -> _Classical:
     """Place realization `index`, assemble its dense matrix, run classical
-    ACA and take the SVD floors.
+    ACA, take the SVD floors and run the geometry-aided method up to its
+    first cross, with that cross's error-curve head.
 
-    The matrix is assembled first, on a handle of its own, so that `aca`'s
-    row and column probes are read from it (`kernel._MatrixKernel`): the
-    same values and the same count as computing them.
+    The matrix is assembled first, on a handle of its own, so that the
+    row and column probes of both methods are read from it
+    (`kernel._MatrixKernel`): the same values and the same count as
+    computing them.  The geometry-aided head draws nothing from the RNG.
     """
     rng = np.random.default_rng(config.base_seed + index)
     x, y, theta = place_clouds(
@@ -176,6 +183,7 @@ def _classical(config: ExperimentConfig, index: int) -> _Classical:
     a = KernelHandle().assemble_dense(x, y)
     kernel = _MatrixKernel(x, y, a)
     skel_aca = aca(x, y, kernel, stop, rng)
+    gp_head = _gp_head(x, y, _MatrixKernel(x, y, a), stop)
     return _Classical(
         x=x,
         y=y,
@@ -185,6 +193,8 @@ def _classical(config: ExperimentConfig, index: int) -> _Classical:
         aca_counts=_per_rank_counts(skel_aca, kernel.eval_count, stop.k_max),
         svd_errors=svd_rank_errors(a, stop.k_max),
         rng_state=rng.bit_generator.state,
+        gp_head=gp_head,
+        gp_curve=_curve_head(a, gp_head.skeleton(gp_head.builder)),
     )
 
 
@@ -199,9 +209,13 @@ def run_realization(
     separate handles.  `classical` is `_classical(config, index)`, computed
     here when not given; a sweep passes one record to every radius.
 
-    The geometry-aided run reads its row, column and subset probes from
-    the record's dense matrix, as the classical run does; its single-entry
-    probes (the circle walks) are computed from the points.
+    The geometry-aided run resumes a copy of the record's head, on a
+    handle charged with the head's n + m evaluations, and its error curve
+    goes on from the record's R_1: the pivots, counts and errors are those
+    of `aca_gp` and `rank_errors` run whole.  It reads its row, column and
+    subset probes from the record's dense matrix, as the classical run
+    does; its single-entry probes (the circle walks) are computed from the
+    points.
     """
     if classical is None:
         classical = _classical(config, index)
@@ -211,12 +225,12 @@ def run_realization(
     rng = np.random.default_rng(config.base_seed + index)
     rng.bit_generator.state = classical.rng_state
     kernel = _MatrixKernel(x, y, a)
-    skel_gp = aca_gp(
-        x, y, kernel, stop, GpOptions(epsilon_r=config.epsilon_r), rng=rng
-    )
+    head = classical.gp_head
+    opts = GpOptions(epsilon_r=config.epsilon_r)
+    skel_gp = _gp_resume(head, head.builder.resumed(kernel), opts, rng)
     errors = {
         "aca": classical.aca_errors,
-        "acagp": rank_errors(a, skel_gp, k_max),
+        "acagp": _curve_from(classical.gp_curve, skel_gp, k_max),
         "svd": classical.svd_errors,
     }
     eval_counts = {

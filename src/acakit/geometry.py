@@ -65,6 +65,13 @@ def _cross2(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
+def _length(v: np.ndarray) -> float:
+    """Euclidean length of a (2,) float array: the dot product and square
+    root that `np.linalg.norm` takes for a 1-D array, so the same bits,
+    without its Python-level dispatch."""
+    return math.sqrt(float(v @ v))
+
+
 def _as_xy(p) -> np.ndarray:
     """Coerce an array-like to a (2,) float array."""
     a = np.asarray(p, dtype=float)
@@ -104,9 +111,8 @@ class PointCloud:
                 " in magnitude"
             )
         pts.setflags(write=False)
-        center = pts.mean(axis=0)
+        center, diam = _center_and_diameter(pts)
         center.setflags(write=False)
-        diam = 2.0 * float(_distances_to(pts, center).max())
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "barycenter", center)
         object.__setattr__(self, "diameter", diam)
@@ -142,10 +148,21 @@ class PointCloud:
     def transformed(self, theta: float = 0.0, shift=(0.0, 0.0)) -> "PointCloud":
         """Rigidly move the cloud: rotate by theta about its barycenter,
         then translate by shift."""
-        c, s = math.cos(theta), math.sin(theta)
-        rot = np.array([[c, -s], [s, c]])
-        pts = (self.points - self.barycenter) @ rot.T + self.barycenter
-        return PointCloud(pts + np.asarray(shift, dtype=float))
+        return PointCloud(_moved(self.points, self.barycenter, theta, shift))
+
+
+def _center_and_diameter(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """A `PointCloud`'s barycenter and diameter estimate for its points."""
+    center = points.mean(axis=0)
+    return center, 2.0 * float(_distances_to(points, center).max())
+
+
+def _moved(points: np.ndarray, center, theta: float, shift=(0.0, 0.0)) -> np.ndarray:
+    """`PointCloud.transformed`'s points: rotated by theta about center,
+    then translated by shift."""
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return (points - center) @ rot.T + center + np.asarray(shift, dtype=float)
 
 
 # Pairs per block in the exact scan of `_cloud_gap`.
@@ -280,9 +297,7 @@ def circumcircle(p1, p2, p3) -> Circle:
     """
     a, b, c = _as_xy(p1), _as_xy(p2), _as_xy(p3)
     d2 = _cross2(b - a, c - a)  # twice the signed area
-    dmax = max(
-        np.linalg.norm(b - a), np.linalg.norm(c - a), np.linalg.norm(c - b)
-    )
+    dmax = max(_length(b - a), _length(c - a), _length(c - b))
     if dmax == 0.0 or abs(d2) < 1e-10 * dmax * dmax:
         raise DegenerateGeometryError("collinear or coincident points")
     # Intersection of the perpendicular bisectors, solved in closed form.
@@ -290,7 +305,7 @@ def circumcircle(p1, p2, p3) -> Circle:
     ux = (sa * (b[1] - c[1]) + sb * (c[1] - a[1]) + sc * (a[1] - b[1])) / (2.0 * d2)
     uy = (sa * (c[0] - b[0]) + sb * (a[0] - c[0]) + sc * (b[0] - a[0])) / (2.0 * d2)
     center = np.array([ux, uy])
-    radius = float(np.linalg.norm(a - center))
+    radius = _length(a - center)
     return Circle(center, radius)
 
 
@@ -307,13 +322,13 @@ def conjugate_circle(c2: Circle, anchor, direction) -> Circle:
     d = _as_xy(direction)
     c = c2.center
     r = c2.radius
-    if abs(np.linalg.norm(a - c) - r) > 1e-6 * r:
+    if abs(_length(a - c) - r) > 1e-6 * r:
         raise ValueError("anchor does not lie on the circle")
-    if np.linalg.norm(d) == 0.0:
+    if _length(d) == 0.0:
         raise ValueError("direction must be non-zero")
     radial = a - c
     tangent = np.array([-radial[1], radial[0]])
-    tangent /= np.linalg.norm(tangent)
+    tangent /= _length(tangent)
     proj = tangent @ d
     if proj == 0.0:
         # Tangent orthogonal to the direction: break the tie by the sign
@@ -391,13 +406,20 @@ def generate_cloud(
 
     Public as the documented draw of each cloud of `place_clouds`.
     """
+    return PointCloud(_uniform_points(width, height, count, rng))
+
+
+def _uniform_points(
+    width: float, height: float, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The (count, 2) coordinates that `generate_cloud` draws."""
     if count < 1:
         raise ValueError("count must be at least 1")
     if width <= 0.0 or height <= 0.0:
         raise ValueError("rectangle sides must be positive")
     lo = (-0.5 * width, -0.5 * height)
     hi = (0.5 * width, 0.5 * height)
-    return PointCloud(rng.uniform(lo, hi, size=(count, 2)))
+    return rng.uniform(lo, hi, size=(count, 2))
 
 
 def place_clouds(
@@ -447,9 +469,12 @@ def place_clouds(
         )
     a, b = xi, 1.0
     y = generate_cloud(a, b, m, rng)
-    x0 = generate_cloud(a, b, n, rng)
+    # X's points are drawn and rotated in the arithmetic of generate_cloud
+    # and PointCloud.transformed; only the pushed X becomes a PointCloud.
+    drawn = _uniform_points(a, b, n, rng)
     theta = float(rng.uniform(-math.pi, math.pi))
-    x0 = x0.transformed(theta=theta)
+    x0 = _moved(drawn, drawn.mean(axis=0), theta)
+    x0_diameter = _center_and_diameter(x0)[1]
     phi = float(rng.uniform(-math.pi, math.pi))
     direction = np.array([math.cos(phi), math.sin(phi)])
 
@@ -462,11 +487,11 @@ def place_clouds(
     # foremost point of Y along the push, then the closest pair of the
     # last exact call.  The lower bound is the gap between the clouds'
     # ranges along the push, less a margin far above their rounding error.
-    (px, py), (qx, qy), (wx, wy) = x0.points.T, y.points.T, direction
-    along_x, along_y = x0.points @ direction, y.points @ direction
+    (px, py), (qx, qy), (wx, wy) = x0.T, y.points.T, direction
+    along_x, along_y = x0 @ direction, y.points @ direction
     x_min, x_max = float(along_x.min()), float(along_x.max())
     y_min, y_max = float(along_y.min()), float(along_y.max())
-    scale = max(float(np.abs(x0.points).max()), float(np.abs(y.points).max()))
+    scale = max(float(np.abs(x0).max()), float(np.abs(y.points).max()))
     witness = int(along_x.argmin()), int(along_y.argmax())
 
     def dist_at(t: float) -> float:
@@ -482,7 +507,7 @@ def place_clouds(
         if lower > target_dist and abs(lower - target_dist) > 1e-3:
             return lower
         gap, i, j = _cloud_gap(
-            x0.points + t * direction,
+            x0 + t * direction,
             y.points,
             i,
             target_dist - 2e-3,
@@ -492,7 +517,7 @@ def place_clouds(
         return gap
 
     lo = target_dist
-    hi = target_dist + x0.diameter + y.diameter + 1.0
+    hi = target_dist + x0_diameter + y.diameter + 1.0
     d_lo = dist_at(lo)
     if d_lo > target_dist:
         # Tiny clouds can already sit beyond the target at the nominal
@@ -512,9 +537,9 @@ def place_clouds(
                 lo = t
             else:
                 hi = t
-    points = x0.points + t * direction
+    points = x0 + t * direction
     distinct = _distinct_count(points)
-    if distinct < len(points) and distinct < _distinct_count(x0.points):
+    if distinct < len(points) and distinct < _distinct_count(x0):
         raise ValueError(
             f"target_dist {target_dist:g} is too far: the push merges distinct"
             " points of X"

@@ -11,6 +11,7 @@ is never held whole.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -185,54 +186,64 @@ class _SkeletonBuilder:
         self.norm_clamped = False
         self.trace: list[PivotRecord] = []
         self.rank_eval_counts: list[int] = []
+        # Pivot magnitudes at or below this count as zero: PIVOT_FLOOR_REL
+        # times the first pivot, set by the first cross.
+        self.pivot_floor = 0.0
         self._start_count = kernel.eval_count
 
-    @property
-    def u_stack(self) -> np.ndarray:
-        return self._u[:, : self.rank]
+    def resumed(self, kernel: KernelHandle) -> "_SkeletonBuilder":
+        """A copy of this state that goes on with `kernel`.
 
-    @property
-    def v_stack(self) -> np.ndarray:
-        return self._v[:, : self.rank]
+        `kernel` is charged first with the evaluations this builder has
+        spent, so its count and the copy's per-rank counts go on as this
+        builder's would.  Several copies of one state can be resumed.
+        """
+        spent = self.kernel.eval_count - self._start_count
+        clone = copy.copy(self)
+        clone.kernel = kernel
+        clone._u, clone._v = self._u.copy(), self._v.copy()
+        clone.trace = self.trace.copy()
+        clone.rank_eval_counts = self.rank_eval_counts.copy()
+        kernel._tally(spent)
+        clone._start_count = kernel.eval_count - spent
+        return clone
 
     def residual_row(self, i: int) -> np.ndarray:
         """Row i of the current residual A - U V^T (one row of kernel evals)."""
         row = self.kernel.eval_row(self.x, self.y, i)
-        if self.rank:
-            row = row - self.v_stack @ self._u[i, : self.rank]
+        r = self.rank
+        if r:
+            row = row - self._v[:, :r] @ self._u[i, :r]
         return row
 
     def residual_col(self, j: int) -> np.ndarray:
         col = self.kernel.eval_col(self.x, self.y, j)
-        if self.rank:
-            col = col - self.u_stack @ self._v[j, : self.rank]
+        r = self.rank
+        if r:
+            col = col - self._u[:, :r] @ self._v[j, :r]
         return col
 
     def residual_probe(self, i: int, j: int) -> float:
         """Single residual entry (one kernel evaluation)."""
         value = self.kernel.eval(self.x.points[i], self.y.points[j])
-        if self.rank:
-            value -= float(self._u[i, : self.rank] @ self._v[j, : self.rank])
+        r = self.rank
+        if r:
+            value -= float(self._u[i, :r] @ self._v[j, :r])
         return value
 
     def residual_row_subset(self, i: int, cols: np.ndarray) -> np.ndarray:
         values = self.kernel.eval_row_subset(self.x, self.y, i, cols)
-        if self.rank:
-            values = values - self._v[cols, : self.rank] @ self._u[i, : self.rank]
+        r = self.rank
+        if r:
+            values = values - self._v[cols, :r] @ self._u[i, :r]
         return values
 
     def residual_col_subset(self, j: int, rows: np.ndarray) -> np.ndarray:
         values = self.kernel.eval_col_subset(self.x, self.y, j, rows)
-        if self.rank:
-            values = values - self._u[rows, : self.rank] @ self._v[j, : self.rank]
+        r = self.rank
+        if r:
+            values = values - self._u[rows, :r] @ self._v[j, :r]
         return values
-
-    def pivot_floor(self) -> float:
-        """Pivot magnitudes at or below this value count as zero:
-        PIVOT_FLOOR_REL times the first pivot, or 0 before it."""
-        if not self.trace:
-            return 0.0
-        return PIVOT_FLOOR_REL * abs(self.trace[0].pivot_value)
 
     def add_cross(
         self,
@@ -243,20 +254,25 @@ class _SkeletonBuilder:
         residual_col: np.ndarray,
         selector: str,
     ) -> None:
+        r = self.rank
         scale = math.sqrt(abs(pivot))
-        sign = 1.0 if pivot > 0.0 else -1.0
-        u_new = sign * residual_col / scale
+        u_new = residual_col / scale
+        if pivot < 0.0:
+            # The pivot's sign sits on u: (-c)/s is -(c/s) exactly.
+            np.negative(u_new, out=u_new)
         v_new = residual_row / scale
-        upd = update_norms(self.approx_norm, self.u_stack, self.v_stack, u_new, v_new)
-        self._u[:, self.rank] = u_new
-        self._v[:, self.rank] = v_new
+        upd = update_norms(
+            self.approx_norm, self._u[:, :r], self._v[:, :r], u_new, v_new
+        )
+        self._u[:, r] = u_new
+        self._v[:, r] = v_new
         self.approx_norm = upd.approx_norm
         self.residual_norm = upd.residual_norm
         self.norm_clamped |= upd.clamped
-        self.rank += 1
-        self.trace.append(
-            PivotRecord(self.rank, int(i), int(j), float(pivot), selector)
-        )
+        if not r:
+            self.pivot_floor = PIVOT_FLOOR_REL * abs(pivot)
+        self.rank = r + 1
+        self.trace.append(PivotRecord(r + 1, int(i), int(j), float(pivot), selector))
         self.rank_eval_counts.append(self.kernel.eval_count - self._start_count)
 
     def converged(self, epsilon: float) -> bool:
@@ -308,19 +324,19 @@ def aca(
     used_cols = np.zeros(m, dtype=bool)
     while builder.rank < k_max and not used_rows.all():
         if builder.rank == 0:
-            unused = np.flatnonzero(~used_rows)
+            unused = (~used_rows).nonzero()[0]
             i_k = int(unused[rng.integers(unused.size)])
         else:
             scores = np.abs(builder._u[:, builder.rank - 1])
             scores[used_rows] = -1.0
-            i_k = int(np.argmax(scores))
+            i_k = int(scores.argmax())
         row = builder.residual_row(i_k)
         used_rows[i_k] = True
         scores = np.abs(row)
         scores[used_cols] = -1.0
-        j_k = int(np.argmax(scores))
+        j_k = int(scores.argmax())
         pivot = float(row[j_k])
-        if abs(pivot) <= builder.pivot_floor():
+        if abs(pivot) <= builder.pivot_floor:
             continue  # residual row vanishes; try another row
         col = builder.residual_col(j_k)
         used_cols[j_k] = True

@@ -119,8 +119,9 @@ def rank_errors(a: np.ndarray, skeleton: Skeleton, k_max: int) -> np.ndarray:
 
     Rank 1 is |A - u_1 v_1^T|_F / |A|_F, formed directly.  With r the
     smaller of k_max and the skeleton's rank, the residual R_r after the
-    r-th cross is formed once, and the ranks below r are reached by
-    adding crosses W_l = u_l v_l^T back one at a time:
+    r-th cross is formed once, as R_1 - sum_{l=2..r} u_l v_l^T, and the
+    ranks below r are reached by adding crosses W_l = u_l v_l^T back one
+    at a time:
 
         |R_{l-1}|^2 = |R_l|^2 + 2<R_l, W_l> + |W_l|^2,
         <R_l, W_l> = u_l.(R_r v_l) + sum_{p>l} (u_l.u_p)(v_l.v_p),
@@ -130,18 +131,42 @@ def rank_errors(a: np.ndarray, skeleton: Skeleton, k_max: int) -> np.ndarray:
     beyond r keep the final error (early termination).  Forming R_r and
     R_r V are BLAS calls, which OpenBLAS may split across threads; the
     norms are summed by numpy's own loops.
+
+    The curve is its head (`_curve_head`: |A|_F, R_1 and e_1), which only
+    the first cross decides, and the walk from it (`_curve_from`); skeletons
+    that share their first cross, as a sweep's radii do, share the head.
     """
+    return _curve_from(_curve_head(a, skeleton), skeleton, k_max)
+
+
+def _curve_head(
+    a: np.ndarray, skeleton: Skeleton
+) -> tuple[float, np.ndarray | None, float]:
+    """(|A|_F, R_1, e_1) of `rank_errors`, from the skeleton's first
+    cross: R_1 = A - u_1 v_1^T, read-only, and e_1 = |R_1|_F / |A|_F.
+    A skeleton of rank 0 gives (|A|_F, None, 1.0)."""
     fro = _nonzero_fro(a)
+    if not skeleton.rank:
+        return fro, None, 1.0
+    residual = a - np.outer(skeleton.u_matrix[:, 0], skeleton.v_matrix[:, 0])
+    residual.setflags(write=False)
+    return fro, residual, _fro(residual) / fro
+
+
+def _curve_from(
+    head: tuple[float, np.ndarray | None, float], skeleton: Skeleton, k_max: int
+) -> np.ndarray:
+    """`rank_errors` of a skeleton whose first cross gave `head`."""
+    fro, first_residual, first = head
     out = np.ones(k_max)
     r = min(k_max, skeleton.rank)
     if r == 0:
         return out
-    u, v = skeleton.u_matrix[:, :r], skeleton.v_matrix[:, :r]
-    residual = a - np.outer(u[:, 0], v[:, 0])
-    out[0] = _fro(residual) / fro
+    out[0] = first
     if r > 1:
-        u, v = u[:, 1:], v[:, 1:]
-        residual -= u @ v.T
+        u, v = skeleton.u_matrix[:, 1:r], skeleton.v_matrix[:, 1:r]
+        residual = u @ v.T
+        np.subtract(first_residual, residual, out=residual)
         gram = (u.T @ u) * (v.T @ v)
         inner = np.einsum("il,il->l", u, residual @ v) + np.triu(gram, 1).sum(axis=1)
         steps = 2.0 * inner + gram.diagonal()

@@ -409,20 +409,41 @@ def geometric_realization(cfg, index):
     return theta, errors, counts, gains, skel_gp
 
 
-@pytest.mark.parametrize("n, m", [(40, 40), (30, 45)])
-def test_eps_sweep_matches_per_radius_benchmark(n, m):
+@pytest.mark.parametrize(
+    "n, m, k_max",
+    [
+        pytest.param(40, 40, 4, id="40-40"),
+        pytest.param(30, 45, 4, id="30-45"),
+        # n > m: the head runs on the swapped pair.
+        pytest.param(45, 30, 4, id="45-30"),
+        # The first cross ends every run, so every radius returns the head.
+        pytest.param(45, 30, 1, id="45-30-k1"),
+        # Every run ends before k_max: later ranks take the whole count.
+        pytest.param(45, 30, 30, id="45-30-k30"),
+    ],
+)
+def test_eps_sweep_matches_per_radius_benchmark(n, m, k_max):
     cfg = ExperimentConfig(
-        n=n, m=m, target_dist=2.0, realizations=5, k_max=4, epsilon_r=0.1
+        n=n, m=m, target_dist=2.0, realizations=5, k_max=k_max, epsilon_r=0.1
     )
     grid = [0.1, 0.25, 0.5]
-    assert sweep_csvs(cfg, grid) == benchmark_csvs(cfg, grid)
-    # A record computed at another radius gives the same realization.
+    # Every radius resumes the same shared head; each benchmark its own.
+    for eps, stats in zip(grid, run_eps_sweep(cfg, grid)):
+        at = replace(cfg, epsilon_r=eps)
+        alone = run_benchmark(at)
+        assert render_benchmark_csv(stats, at) == render_benchmark_csv(alone, at)
+        assert [s.kernel_evals_mean for s in stats] == [
+            s.kernel_evals_mean for s in alone
+        ]
+    # A record computed at another radius gives the same realization, and
+    # the errors and counts of aca_gp and rank_errors run whole.
     for i in range(cfg.realizations):
         wide = replace(cfg, epsilon_r=0.5)
         shared = run_realization(wide, i, _classical(cfg, i))
         alone = run_realization(wide, i)
-        _, errors, _, _, _ = geometric_realization(wide, i)
+        _, errors, counts, _, _ = geometric_realization(wide, i)
         assert np.array_equal(shared.errors["acagp"], errors["acagp"])
+        assert np.array_equal(shared.eval_counts["acagp"], counts["acagp"])
         assert shared.theta == alone.theta
         assert shared.central_row_count == alone.central_row_count
         assert shared.central_col_count == alone.central_col_count

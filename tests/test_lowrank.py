@@ -323,8 +323,9 @@ def replayed_builder(skel, x, y, kernel):
         row = builder.residual_row(i)
         col = builder.residual_col(j)
         builder.add_cross(i, j, float(row[j]), row, col, "partial")
-    assert np.array_equal(builder.u_stack, skel.u_matrix)
-    assert np.array_equal(builder.v_stack, skel.v_matrix)
+    rebuilt = builder.build()
+    assert np.array_equal(rebuilt.u_matrix, skel.u_matrix)
+    assert np.array_equal(rebuilt.v_matrix, skel.v_matrix)
     return builder
 
 
