@@ -306,83 +306,32 @@ def aca_gp(
     transpose of aca_gp(x, y).  For n = m the row cloud is always X, and
     the swapped call may pick other pivots.
 
+    The first cross depends on neither k_max, the central radius, the
+    circle mode nor rng: a run with k_max = 1 returns the first pivot,
+    cross and evaluation count of every longer run on the same clouds.
+
     A selected pivot at or below the pivot floor (PIVOT_FLOOR_REL times the
     first pivot) ends the run with the rank reached so far; classical `aca`
     instead skips such a row and tries another.  Otherwise the run reaches
     k_max or the epsilon stop: the central subsets hold enough candidates
     for every rank up to k_max.
 
-    The run is its head up to the first cross (`_gp_head`), which neither
-    the central radius, the circle mode nor rng changes, and the later
-    ranks (`_gp_resume`); a sweep runs the head once per cloud pair and
-    resumes a copy of it at every radius.
-
     Rank k costs at most k(n+m) + k(|ic|+|jc|) + n + m kernel evaluations.
     """
-    head = _gp_head(x, y, kernel, stop)
-    return _gp_resume(head, head.builder, opts, rng)
-
-
-@dataclass(frozen=True, eq=False)
-class _GpHead:
-    """`aca_gp`'s run up to and including its first cross.
-
-    `builder` holds the run on the pair it solves: (y, x) when `swapped`,
-    that is when y has more points than x.  `done` says that the run ends
-    here: the first pivot is zero, k_max is 1 or the cross meets the
-    epsilon stop.
-    """
-
-    builder: _SkeletonBuilder
-    k_max: int
-    epsilon: float
-    i1: int
-    j1: int
-    swapped: bool
-    done: bool
-
-    def skeleton(
-        self, builder: _SkeletonBuilder, central_rows: int = 0, central_cols: int = 0
-    ) -> Skeleton:
-        """`builder`'s skeleton (the head's own, or a resumed copy's),
-        oriented as `aca_gp` returns it."""
-        s = builder.build(central_rows, central_cols)
-        return _transpose_skeleton(s) if self.swapped else s
-
-
-def _gp_head(
-    x: PointCloud, y: PointCloud, kernel: KernelHandle, stop: StoppingParams
-) -> _GpHead:
-    """Run `aca_gp` on `kernel` up to its first cross: the first pivot,
-    its residual row and column, the floor and stop tests and the cross."""
-    swapped = len(y) > len(x)
-    if swapped:
-        x, y = y, x
+    if len(y) > len(x):
+        return _transpose_skeleton(aca_gp(y, x, kernel, stop, opts, rng=rng))
     k_max = resolve_k_max(stop.k_max, len(x), len(y))
     builder = _SkeletonBuilder(x, y, kernel, k_max)
     i1, j1 = first_pivot(x, y)
     row = builder.residual_row(i1)
     p1 = float(row[j1])
-    done = abs(p1) <= builder.pivot_floor
-    if not done:
-        builder.add_cross(i1, j1, p1, row, builder.residual_col(j1), "first")
-        done = k_max == 1 or builder.converged(stop.epsilon)
-    return _GpHead(builder, k_max, stop.epsilon, i1, j1, swapped, done)
+    if abs(p1) <= builder.pivot_floor:
+        return builder.build()
+    builder.add_cross(i1, j1, p1, row, builder.residual_col(j1), "first")
+    if k_max == 1 or builder.converged(stop.epsilon):
+        return builder.build()
 
-
-def _gp_resume(
-    head: _GpHead,
-    builder: _SkeletonBuilder,
-    opts: GpOptions | None,
-    rng: np.random.Generator,
-) -> Skeleton:
-    """Finish the run that `head` began, as `aca_gp` does, on `builder`:
-    the head's own state, or a copy of it (`_SkeletonBuilder.resumed`),
-    which leaves the head to be resumed again, at another radius."""
-    if head.done:
-        return head.skeleton(builder)
     opts = opts or GpOptions()
-    x, y, k_max, i1, j1 = builder.x, builder.y, head.k_max, head.i1, head.j1
     eps_r = (
         opts.epsilon_r
         if opts.epsilon_r is not None
@@ -395,7 +344,7 @@ def _gp_resume(
     ic_work = ic_idx[ic_idx != i1]
     jc_work = jc_idx[jc_idx != j1]
     use_circles = _circles_enabled(opts, x, y)
-    floor, epsilon = builder.pivot_floor, head.epsilon
+    floor = builder.pivot_floor
     c2: Circle | None = None
 
     for r_next in range(2, k_max + 1):
@@ -423,6 +372,6 @@ def _gp_resume(
         row = builder.residual_row(i_k)
         col = builder.residual_col(j_k)
         builder.add_cross(i_k, j_k, pivot, row, col, selector)
-        if builder.converged(epsilon):
+        if builder.converged(stop.epsilon):
             break
-    return head.skeleton(builder, ic_idx.size, jc_idx.size)
+    return builder.build(central_rows=ic_idx.size, central_cols=jc_idx.size)

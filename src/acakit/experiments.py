@@ -17,7 +17,7 @@ import numpy as np
 
 from ._pool import _usable_cpus, pool_map
 from ._version import __version__
-from .acagp import GpOptions, _GpHead, _gp_head, _gp_resume
+from .acagp import GpOptions, aca_gp
 from .geometry import PointCloud, place_clouds
 from .kernel import KernelHandle, _MatrixKernel
 from .lowrank import Skeleton, StoppingParams, aca, resolve_k_max
@@ -141,11 +141,13 @@ def _per_rank_counts(skeleton: Skeleton, total: int, k_max: int) -> np.ndarray:
 class _Classical:
     """The part of one realization that no central radius changes.
 
-    rng_state is the generator state right after the classical run, where
-    the geometry-aided run picks up the realization's stream.  gp_head is
-    that run up to its first cross (`acagp._gp_head`, read from `a`), and
-    gp_curve its error curve's head (`oracle._curve_head`: |A|_F, the
-    rank-1 residual R_1 and e_1); every radius resumes from both.
+    rng is the realization's generator and rng_state its state right after
+    the classical run, where the geometry-aided run picks up the stream.
+    The radii of a record share rng: each resets it to rng_state before it
+    draws, so they run one after another, never concurrently.  gp_curve is
+    the geometry-aided error curve's head (`oracle._curve_head`: |A|_F, the
+    rank-1 residual R_1 and e_1), which every radius continues, since no
+    radius changes `aca_gp`'s first cross.
     """
 
     x: PointCloud
@@ -155,8 +157,8 @@ class _Classical:
     aca_errors: np.ndarray
     aca_counts: np.ndarray
     svd_errors: np.ndarray
+    rng: np.random.Generator
     rng_state: dict
-    gp_head: _GpHead
     gp_curve: tuple[float, np.ndarray | None, float]
 
 
@@ -167,13 +169,14 @@ def _stopping(config: ExperimentConfig) -> StoppingParams:
 
 def _classical(config: ExperimentConfig, index: int) -> _Classical:
     """Place realization `index`, assemble its dense matrix, run classical
-    ACA, take the SVD floors and run the geometry-aided method up to its
-    first cross, with that cross's error-curve head.
+    ACA, take the SVD floors and the geometry-aided error curve's head.
 
     The matrix is assembled first, on a handle of its own, so that the
     row and column probes of both methods are read from it
     (`kernel._MatrixKernel`): the same values and the same count as
-    computing them.  The geometry-aided head draws nothing from the RNG.
+    computing them.  The curve's head comes from `aca_gp`'s first cross,
+    a run with k_max = 1 on a handle of its own, which draws nothing from
+    the RNG.
     """
     rng = np.random.default_rng(config.base_seed + index)
     x, y, theta = place_clouds(
@@ -183,7 +186,10 @@ def _classical(config: ExperimentConfig, index: int) -> _Classical:
     a = KernelHandle().assemble_dense(x, y)
     kernel = _MatrixKernel(x, y, a)
     skel_aca = aca(x, y, kernel, stop, rng)
-    gp_head = _gp_head(x, y, _MatrixKernel(x, y, a), stop)
+    rng_state = rng.bit_generator.state
+    first_cross = aca_gp(
+        x, y, _MatrixKernel(x, y, a), replace(stop, k_max=1), rng=rng
+    )
     return _Classical(
         x=x,
         y=y,
@@ -192,9 +198,9 @@ def _classical(config: ExperimentConfig, index: int) -> _Classical:
         aca_errors=rank_errors(a, skel_aca, stop.k_max),
         aca_counts=_per_rank_counts(skel_aca, kernel.eval_count, stop.k_max),
         svd_errors=svd_rank_errors(a, stop.k_max),
-        rng_state=rng.bit_generator.state,
-        gp_head=gp_head,
-        gp_curve=_curve_head(a, gp_head.skeleton(gp_head.builder)),
+        rng=rng,
+        rng_state=rng_state,
+        gp_curve=_curve_head(a, first_cross),
     )
 
 
@@ -209,25 +215,24 @@ def run_realization(
     separate handles.  `classical` is `_classical(config, index)`, computed
     here when not given; a sweep passes one record to every radius.
 
-    The geometry-aided run resumes a copy of the record's head, on a
-    handle charged with the head's n + m evaluations, and its error curve
-    goes on from the record's R_1: the pivots, counts and errors are those
-    of `aca_gp` and `rank_errors` run whole.  It reads its row, column and
-    subset probes from the record's dense matrix, as the classical run
-    does; its single-entry probes (the circle walks) are computed from the
-    points.
+    The geometry-aided run is `aca_gp` run whole, on the record's
+    generator reset to rng_state; its error curve goes on from the
+    record's R_1, which gives the errors of `rank_errors`.  It reads its
+    row, column and subset probes from the record's dense matrix, as the
+    classical run does; its single-entry probes (the circle walks) are
+    computed from the points.
     """
     if classical is None:
         classical = _classical(config, index)
     x, y, a = classical.x, classical.y, classical.a
     stop = _stopping(config)
     k_max = stop.k_max
-    rng = np.random.default_rng(config.base_seed + index)
+    rng = classical.rng
     rng.bit_generator.state = classical.rng_state
     kernel = _MatrixKernel(x, y, a)
-    head = classical.gp_head
-    opts = GpOptions(epsilon_r=config.epsilon_r)
-    skel_gp = _gp_resume(head, head.builder.resumed(kernel), opts, rng)
+    skel_gp = aca_gp(
+        x, y, kernel, stop, GpOptions(epsilon_r=config.epsilon_r), rng=rng
+    )
     errors = {
         "aca": classical.aca_errors,
         "acagp": _curve_from(classical.gp_curve, skel_gp, k_max),

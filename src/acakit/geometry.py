@@ -282,7 +282,7 @@ def is_admissible(x: PointCloud, y: PointCloud, eta: float = 1.0) -> bool:
     """
     if not (math.isfinite(eta) and eta > 0.0):
         raise ValueError("eta must be finite and positive")
-    gap = float(np.linalg.norm(x.barycenter - y.barycenter))
+    gap = _length(x.barycenter - y.barycenter)
     return min(x.diameter, y.diameter) <= eta / (1.0 + eta) * gap
 
 

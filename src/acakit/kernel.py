@@ -6,12 +6,11 @@ all complexity claims and budget checks.
 """
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
 
-from .geometry import PointCloud, _as_xy, _distances_to, _squared_distances
+from .geometry import PointCloud, _as_xy, _distances_to, _length, _squared_distances
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
@@ -44,7 +43,7 @@ class KernelHandle:
     holds the dense matrix of its clouds serves them from it through
     `_MatrixKernel`, which overrides that step alone: the entries are the
     same bit for bit and are counted the same.  The scalar `eval` is always
-    computed from the points, because its distance, `math.sqrt(d @ d)`,
+    computed from the points, because its distance, `geometry._length`,
     can differ from a matrix entry in the last bit.
     """
 
@@ -89,7 +88,7 @@ class KernelHandle:
         probe merged into the vector primitive must keep them.
         """
         d = _as_xy(x) - _as_xy(y)
-        dist = math.sqrt(float(d @ d))
+        dist = _length(d)
         if dist < SINGULAR_DISTANCE:
             raise SingularEvaluationError("points closer than 1e-14")
         self._tally(1)

@@ -11,7 +11,6 @@ is never held whole.
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -190,23 +189,6 @@ class _SkeletonBuilder:
         # times the first pivot, set by the first cross.
         self.pivot_floor = 0.0
         self._start_count = kernel.eval_count
-
-    def resumed(self, kernel: KernelHandle) -> "_SkeletonBuilder":
-        """A copy of this state that goes on with `kernel`.
-
-        `kernel` is charged first with the evaluations this builder has
-        spent, so its count and the copy's per-rank counts go on as this
-        builder's would.  Several copies of one state can be resumed.
-        """
-        spent = self.kernel.eval_count - self._start_count
-        clone = copy.copy(self)
-        clone.kernel = kernel
-        clone._u, clone._v = self._u.copy(), self._v.copy()
-        clone.trace = self.trace.copy()
-        clone.rank_eval_counts = self.rank_eval_counts.copy()
-        kernel._tally(spent)
-        clone._start_count = kernel.eval_count - spent
-        return clone
 
     def residual_row(self, i: int) -> np.ndarray:
         """Row i of the current residual A - U V^T (one row of kernel evals)."""

@@ -504,6 +504,34 @@ def test_acagp_rank1_pivot_rule_and_fraction_independence():
         assert np.array_equal(skel.v_matrix, skeletons[0].v_matrix)
 
 
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("n, m", [(30, 45), (40, 40), (45, 30)])
+def test_acagp_first_cross_is_shared_by_longer_runs(n, m, seed):
+    """A k_max = 1 run returns the first cross of every longer run, whatever
+    its central radius, circle mode or rng: a sweep takes the error curve's
+    rank-1 residual, shared by all radii, from that run."""
+    x, y, _ = place_clouds(1.0, n, m, 2.0, np.random.default_rng(seed))
+    first = aca_gp(
+        x, y, KernelHandle(), StoppingParams(epsilon=1e-30, k_max=1),
+        rng=np.random.default_rng(0),
+    )
+    assert first.rank == 1
+    stop = StoppingParams(epsilon=1e-30, k_max=8)
+    for eps in (0.1, 0.5, 1.0):
+        for mode in CircleHeuristics:
+            for rng_seed in (1, 2):
+                skel = aca_gp(
+                    x, y, KernelHandle(), stop,
+                    GpOptions(epsilon_r=eps, use_circle_heuristics=mode),
+                    rng=np.random.default_rng(rng_seed),
+                )
+                assert skel.rank > 1
+                assert skel.pivot_trace[0] == first.pivot_trace[0]
+                assert np.array_equal(skel.u_matrix[:, 0], first.u_matrix[:, 0])
+                assert np.array_equal(skel.v_matrix[:, 0], first.v_matrix[:, 0])
+                assert skel.rank_eval_counts[0] == first.rank_eval_counts[0]
+
+
 def test_acagp_full_rank_exact():
     x, y, _ = pair(11, n=5, m=5)
     kernel = KernelHandle()

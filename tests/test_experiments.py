@@ -414,9 +414,11 @@ def geometric_realization(cfg, index):
     [
         pytest.param(40, 40, 4, id="40-40"),
         pytest.param(30, 45, 4, id="30-45"),
-        # n > m: the head runs on the swapped pair.
+        # n > m: aca_gp keeps the pair as given (for n < m it solves the
+        # swapped pair and transposes back).
         pytest.param(45, 30, 4, id="45-30"),
-        # The first cross ends every run, so every radius returns the head.
+        # The first cross ends every run: each radius returns the rank-1
+        # skeleton that the record's error-curve head was taken from.
         pytest.param(45, 30, 1, id="45-30-k1"),
         # Every run ends before k_max: later ranks take the whole count.
         pytest.param(45, 30, 30, id="45-30-k30"),
@@ -427,7 +429,7 @@ def test_eps_sweep_matches_per_radius_benchmark(n, m, k_max):
         n=n, m=m, target_dist=2.0, realizations=5, k_max=k_max, epsilon_r=0.1
     )
     grid = [0.1, 0.25, 0.5]
-    # Every radius resumes the same shared head; each benchmark its own.
+    # Every radius continues the record's shared R_1; each benchmark its own.
     for eps, stats in zip(grid, run_eps_sweep(cfg, grid)):
         at = replace(cfg, epsilon_r=eps)
         alone = run_benchmark(at)
