@@ -215,7 +215,12 @@ def select_rank3(
     The row candidate nearest the conjugate circle anchored at x_i1 is
     chosen outright; the column candidates are walked by distance to the
     conjugate circle anchored at y_j1, probing residual entries through
-    `builder` with the same stopping rule as the rank-2 search.
+    `builder` with the same stopping rule as the rank-2 search.  Row
+    candidates whose point repeats a pivot row's point are skipped: their
+    residual row is zero, and a copy of x_i1 lies on its conjugate circle.
+
+    Raises DegenerateGeometryError when every row candidate repeats a
+    pivot point (the caller falls back to magnitude-only selection).
     """
     if not len(ic_work) or not len(jc_work):
         raise PivotsExhaustedError("central subsets exhausted")
@@ -223,7 +228,11 @@ def select_rank3(
     conj_x = conjugate_circle(c2, x.points[i1], y.points[j1] - x.points[i1])
     conj_y = conjugate_circle(c2, y.points[j1], x.points[i1] - y.points[j1])
     rows = np.asarray(ic_work)
-    i3 = int(rows[_circle_distances(x.points[rows], conj_x).argmin()])
+    order = _circle_distances(x.points[rows], conj_x).argsort(kind="stable")
+    pivots = [x.points[rec.i].tolist() for rec in builder.trace]
+    i3 = next((int(i) for i in rows[order] if x.points[i].tolist() not in pivots), -1)
+    if i3 < 0:
+        raise DegenerateGeometryError("every row candidate repeats a pivot point")
     j3, pivot = _walk_candidates(
         y.points, jc_work, conj_y, lambda j: builder.residual_probe(i3, j)
     )
@@ -307,8 +316,9 @@ def aca_gp(
     the swapped call may pick other pivots.
 
     The first cross depends on neither k_max, the central radius, the
-    circle mode nor rng: a run with k_max = 1 returns the first pivot,
-    cross and evaluation count of every longer run on the same clouds.
+    circle mode nor rng: every run on the same clouds takes the same first
+    pivot, cross and evaluation count, so runs that differ only in those
+    share the rank-1 residual A - u_1 v_1^T.
 
     A selected pivot at or below the pivot floor (PIVOT_FLOOR_REL times the
     first pivot) ends the run with the rank reached so far; classical `aca`
@@ -360,8 +370,11 @@ def aca_gp(
             except DegenerateGeometryError:
                 pass  # collinear trial row: magnitude fallback below
         elif r_next == 3 and c2 is not None:
-            selection = select_rank3(builder, i1, j1, c2, ic_work, jc_work)
-            selector = "circle3"
+            try:
+                selection = select_rank3(builder, i1, j1, c2, ic_work, jc_work)
+                selector = "circle3"
+            except DegenerateGeometryError:
+                pass  # every row candidate repeats a pivot point
         if selection is None:
             selection = select_higher(builder, ic_work, jc_work, rng)
         i_k, j_k, pivot = selection

@@ -9,7 +9,6 @@ genetic (exhaustive pivot oracle on a small instance).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -340,7 +339,6 @@ def main(argv=None) -> int:
     except (
         ValueError,
         OSError,
-        json.JSONDecodeError,
         DenseCapExceededError,
         SingularEvaluationError,
         # Python evaluates this tuple only when an exception reaches it, so

@@ -137,7 +137,7 @@ def _per_rank_counts(skeleton: Skeleton, total: int, k_max: int) -> np.ndarray:
     return np.asarray(counts, dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Classical:
     """The part of one realization that no central radius changes.
 
@@ -146,7 +146,8 @@ class _Classical:
     The radii of a record share rng: each resets it to rng_state before it
     draws, so they run one after another, never concurrently.  gp_curve is
     the geometry-aided error curve's head (`oracle._curve_head`: |A|_F, the
-    rank-1 residual R_1 and e_1), which every radius continues, since no
+    rank-1 residual R_1 and e_1), None until the record's first radius sets
+    it from its own skeleton; every later radius continues it, since no
     radius changes `aca_gp`'s first cross.
     """
 
@@ -159,7 +160,7 @@ class _Classical:
     svd_errors: np.ndarray
     rng: np.random.Generator
     rng_state: dict
-    gp_curve: tuple[float, np.ndarray | None, float]
+    gp_curve: tuple[float, np.ndarray | None, float] | None = None
 
 
 def _stopping(config: ExperimentConfig) -> StoppingParams:
@@ -169,14 +170,12 @@ def _stopping(config: ExperimentConfig) -> StoppingParams:
 
 def _classical(config: ExperimentConfig, index: int) -> _Classical:
     """Place realization `index`, assemble its dense matrix, run classical
-    ACA, take the SVD floors and the geometry-aided error curve's head.
+    ACA and take the SVD floors.
 
     The matrix is assembled first, on a handle of its own, so that the
     row and column probes of both methods are read from it
     (`kernel._MatrixKernel`): the same values and the same count as
-    computing them.  The curve's head comes from `aca_gp`'s first cross,
-    a run with k_max = 1 on a handle of its own, which draws nothing from
-    the RNG.
+    computing them.
     """
     rng = np.random.default_rng(config.base_seed + index)
     x, y, theta = place_clouds(
@@ -187,9 +186,6 @@ def _classical(config: ExperimentConfig, index: int) -> _Classical:
     kernel = _MatrixKernel(x, y, a)
     skel_aca = aca(x, y, kernel, stop, rng)
     rng_state = rng.bit_generator.state
-    first_cross = aca_gp(
-        x, y, _MatrixKernel(x, y, a), replace(stop, k_max=1), rng=rng
-    )
     return _Classical(
         x=x,
         y=y,
@@ -200,7 +196,6 @@ def _classical(config: ExperimentConfig, index: int) -> _Classical:
         svd_errors=svd_rank_errors(a, stop.k_max),
         rng=rng,
         rng_state=rng_state,
-        gp_curve=_curve_head(a, first_cross),
     )
 
 
@@ -216,8 +211,9 @@ def run_realization(
     here when not given; a sweep passes one record to every radius.
 
     The geometry-aided run is `aca_gp` run whole, on the record's
-    generator reset to rng_state; its error curve goes on from the
-    record's R_1, which gives the errors of `rank_errors`.  It reads its
+    generator reset to rng_state.  The record's first run takes the error
+    curve's head (R_1) from its own skeleton, and every run goes on from
+    it, which gives the errors of `rank_errors`.  It reads its
     row, column and subset probes from the record's dense matrix, as the
     classical run does; its single-entry probes (the circle walks) are
     computed from the points.
@@ -233,6 +229,8 @@ def run_realization(
     skel_gp = aca_gp(
         x, y, kernel, stop, GpOptions(epsilon_r=config.epsilon_r), rng=rng
     )
+    if classical.gp_curve is None:
+        classical.gp_curve = _curve_head(a, skel_gp)
     errors = {
         "aca": classical.aca_errors,
         "acagp": _curve_from(classical.gp_curve, skel_gp, k_max),

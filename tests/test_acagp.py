@@ -20,6 +20,7 @@ from acakit.acagp import (
 )
 from acakit.geometry import (
     Circle,
+    DegenerateGeometryError,
     PointCloud,
     _circle_distances,
     _cross2,
@@ -414,6 +415,38 @@ def test_select_rank3_empty_pool_raises():
         select_rank3(builder, i1, j1, c2, [], [1])
 
 
+def repeated_point_pair():
+    """5 points tiled 4 times (row i repeats row i mod 5) against 12 points
+    shifted by (2, 1)."""
+    x = PointCloud(np.tile(np.random.default_rng(0).uniform(0, 1, (5, 2)), (4, 1)))
+    y = PointCloud(np.random.default_rng(0).uniform(0, 1, (12, 2)) + (2, 1))
+    return x, y
+
+
+def test_acagp_rank3_skips_rows_that_repeat_a_pivot_point():
+    """A copy of x_i1 lies on the conjugate circle anchored at x_i1 and has
+    a zero residual row; taking it ended this run at rank 2."""
+    x, y = repeated_point_pair()
+    skel = aca_gp(
+        x, y, KernelHandle(), StoppingParams(1e-12, 10),
+        GpOptions(epsilon_r=1.0, use_circle_heuristics=CircleHeuristics.ON),
+        rng=np.random.default_rng(1),
+    )
+    assert skel.rank == 5
+    assert [rec.selector for rec in skel.pivot_trace[:3]] == [
+        "first", "circle2", "circle3"
+    ]
+    assert len({i % 5 for i in skel.pivot_rows}) == 5
+
+
+def test_select_rank3_raises_when_every_row_repeats_a_pivot_point():
+    x, y = repeated_point_pair()
+    builder = rank1_builder(x, y, 3, 9)
+    c2 = circumcircle(x.points[3], y.points[9], x.points[1])
+    with pytest.raises(DegenerateGeometryError):
+        select_rank3(builder, 3, 9, c2, [8, 13, 18], [0, 1, 2])
+
+
 def test_rank3_beats_classical_on_most_instances():
     """Paired 100-seed comparison at rank 3; the conjugate-circle pivot
     should win at least 80% of the square-cloud instances."""
@@ -508,8 +541,8 @@ def test_acagp_rank1_pivot_rule_and_fraction_independence():
 @pytest.mark.parametrize("n, m", [(30, 45), (40, 40), (45, 30)])
 def test_acagp_first_cross_is_shared_by_longer_runs(n, m, seed):
     """A k_max = 1 run returns the first cross of every longer run, whatever
-    its central radius, circle mode or rng: a sweep takes the error curve's
-    rank-1 residual, shared by all radii, from that run."""
+    its central radius, circle mode or rng: a sweep's radii share the error
+    curve's rank-1 residual, which its first radius takes."""
     x, y, _ = place_clouds(1.0, n, m, 2.0, np.random.default_rng(seed))
     first = aca_gp(
         x, y, KernelHandle(), StoppingParams(epsilon=1e-30, k_max=1),

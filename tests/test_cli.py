@@ -27,14 +27,15 @@ def write_cloud_pair(tmp_path, seed=0, n=25, m=25, dist=2.5):
     return fx, fy
 
 
-def run_cli_process(*args):
-    """Run the CLI in a fresh interpreter, so an uncaught exception shows as
-    a traceback on stderr and a non-contract exit code."""
-    env = {**os.environ, "PYTHONPATH": str(Path(acakit.__file__).parents[1])}
-    return subprocess.run(
-        [sys.executable, "-m", "acakit.cli", *args],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+def cli_error(capsys, *args):
+    """Run `main` in process, expect exit status 2 and one `error:` line on
+    stderr, and return that line.  An exception that leaves `main`, which a
+    fresh interpreter would print as a traceback, fails the test."""
+    assert main(list(args)) == 2
+    err = capsys.readouterr().err
+    error = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1
+    return error[0]
 
 
 def test_version_flag(capsys):
@@ -117,19 +118,17 @@ def test_approximate_force_overrides_admissibility(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["aca", "acagp"])
-def test_approximate_coincident_points_exit_code(tmp_path, method):
+def test_approximate_coincident_points_exit_code(tmp_path, method, capsys):
     """A point of X on a point of Y makes a kernel value singular; the CLI
     reports it as an input error, not a traceback."""
     fx = tmp_path / "x.json"
     fy = tmp_path / "y.json"
     fx.write_text(cloud_to_json(PointCloud(np.array([[0.0, 0.0], [0.1, 0.0]]))))
     fy.write_text(cloud_to_json(PointCloud(np.array([[0.0, 0.0], [0.2, 0.1]]))))
-    proc = run_cli_process(
-        "approximate", "--force", "--clouds", str(fx), str(fy), "--method", method
+    cli_error(
+        capsys, "approximate", "--force", "--clouds", str(fx), str(fy),
+        "--method", method,
     )
-    assert proc.returncode == 2
-    assert "error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 def test_approximate_stdout_and_out_file_match(tmp_path, capsys):
@@ -171,15 +170,12 @@ def test_approximate_failure_keeps_existing_out_file(tmp_path, inputs):
     assert out.read_bytes() == b'{"kept": true}\n'
 
 
-def test_approximate_out_directory_exit_code(tmp_path):
-    proc = run_cli_process(
-        "approximate", "--gen", "xi=1,n=20,m=20,dist=2.5", "--out", str(tmp_path)
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
-        proc.stderr.strip()
-    ]
+def test_approximate_out_directory_exit_code(tmp_path, capsys):
+    assert main(
+        ["approximate", "--gen", "xi=1,n=20,m=20,dist=2.5", "--out", str(tmp_path)]
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_approximate_out_never_holds_the_document(tmp_path, capsys):
@@ -201,14 +197,12 @@ def test_approximate_out_never_holds_the_document(tmp_path, capsys):
     assert peak < out.stat().st_size
 
 
-def test_approximate_unreachable_target_exit_code():
+def test_approximate_unreachable_target_exit_code(capsys):
     """Placement that cannot reach the target distance is an input error."""
-    proc = run_cli_process(
-        "approximate", "--gen", "xi=1,n=1,m=1,dist=0.000001", "--seed", "3", "--force"
+    cli_error(
+        capsys, "approximate", "--gen", "xi=1,n=1,m=1,dist=0.000001", "--seed", "3",
+        "--force",
     )
-    assert proc.returncode == 2
-    assert "error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -224,12 +218,8 @@ def test_approximate_unreachable_target_exit_code():
         (["approximate", "--gen", "xi=1,n=20,m=20,dist=2", "--eta", "nan"], "eta"),
     ],
 )
-def test_non_finite_input_exit_code(argv, field):
-    proc = run_cli_process(*argv)
-    assert proc.returncode == 2
-    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
-    assert len(error) == 1 and field in error[0]
-    assert "Traceback" not in proc.stderr
+def test_non_finite_input_exit_code(argv, field, capsys):
+    assert field in cli_error(capsys, *argv)
 
 
 def extreme_scale_argv(command, scale, tmp_path):
@@ -268,7 +258,7 @@ def test_extreme_scale_exit_code(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["approximate", "benchmark"])
-def test_merging_placement_exit_code(command):
+def test_merging_placement_exit_code(command, capsys):
     """A placement distance so far that distinct points of X round to one
     point is an input error, not a skeleton of another matrix."""
     if command == "approximate":
@@ -276,11 +266,7 @@ def test_merging_placement_exit_code(command):
     else:
         argv = ["benchmark", "--n", "10", "--m", "10", "--realizations", "2",
                 "--max-rank", "3", "--dist", "1e100"]
-    proc = run_cli_process(*argv)
-    assert proc.returncode == 2
-    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
-    assert len(error) == 1 and "merges distinct points of X" in error[0]
-    assert "Traceback" not in proc.stderr
+    assert "merges distinct points of X" in cli_error(capsys, *argv)
 
 
 @pytest.mark.parametrize(
@@ -292,12 +278,9 @@ def test_merging_placement_exit_code(command):
         ("1.9999999999999:2.0000000000009:1.2e-16", "more than 10000 values"),
     ],
 )
-def test_unbounded_sweep_range_exit_code(central, message):
-    proc = run_cli_process("sweep-central", "--realizations", "2", "--central", central)
-    assert proc.returncode == 2
-    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
-    assert len(error) == 1 and message in error[0]
-    assert "Traceback" not in proc.stderr
+def test_unbounded_sweep_range_exit_code(central, message, capsys):
+    argv = ["sweep-central", "--realizations", "2", "--central", central]
+    assert message in cli_error(capsys, *argv)
 
 
 @pytest.mark.parametrize(
@@ -308,26 +291,24 @@ def test_unbounded_sweep_range_exit_code(central, message):
     ],
     ids=["dict", "nested", "string", "digit-strings", "bools", "one-bool", "huge-int"],
 )
-def test_non_numeric_points_exit_code(tmp_path, points):
+def test_non_numeric_points_exit_code(tmp_path, points, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"points": points}))
     _, good = write_cloud_pair(tmp_path)
-    proc = run_cli_process("approximate", "--clouds", str(bad), str(good), "--force")
-    assert proc.returncode == 2
-    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
-    assert len(error) == 1 and '"points"' in error[0]
-    assert "Traceback" not in proc.stderr
+    argv = ["approximate", "--clouds", str(bad), str(good), "--force"]
+    assert '"points"' in cli_error(capsys, *argv)
 
 
-def test_approximate_subnormal_central_fraction():
+def test_approximate_subnormal_central_fraction(capsys):
     """A tiny positive --central is valid; growing the central subsets from
     it must terminate."""
-    proc = run_cli_process(
+    rc = main([
         "approximate", "--gen", "xi=1,n=30,m=30,dist=2", "--central", "5e-324",
         "--max-rank", "5", "--force",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["rank"] == 5
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert json.loads(captured.out)["rank"] == 5
 
 
 def test_approximate_bad_gen_string(capsys):
@@ -413,12 +394,9 @@ def test_benchmark_thread_count_invariant(tmp_path):
 @pytest.mark.parametrize(
     "command, threads", [("benchmark", "0"), ("sweep-central", "-3")]
 )
-def test_threads_below_one_exit_code(command, threads):
-    proc = run_cli_process(command, "--realizations", "2", "--threads", threads)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    error = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
-    assert len(error) == 1 and "threads" in error[0]
+def test_threads_below_one_exit_code(command, threads, capsys):
+    argv = [command, "--realizations", "2", "--threads", threads]
+    assert "threads" in cli_error(capsys, *argv)
 
 
 POOL_ARGS = {

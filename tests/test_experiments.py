@@ -417,8 +417,8 @@ def geometric_realization(cfg, index):
         # n > m: aca_gp keeps the pair as given (for n < m it solves the
         # swapped pair and transposes back).
         pytest.param(45, 30, 4, id="45-30"),
-        # The first cross ends every run: each radius returns the rank-1
-        # skeleton that the record's error-curve head was taken from.
+        # The first cross ends every run: each radius returns the same
+        # rank-1 skeleton, whose R_1 the record's first radius took.
         pytest.param(45, 30, 1, id="45-30-k1"),
         # Every run ends before k_max: later ranks take the whole count.
         pytest.param(45, 30, 30, id="45-30-k30"),
@@ -518,6 +518,27 @@ def test_eps_sweep_computes_each_aspect_ratio_once(monkeypatch):
     # once per realization, not once per radius.
     assert len(calls) == 2 * cfg.realizations
     assert len({id(cloud) for cloud in calls}) == len(calls)
+
+
+def test_eps_sweep_runs_aca_gp_once_per_radius(monkeypatch):
+    """A record runs no aca_gp of its own: each radius runs it once, and
+    the record's first radius takes the error curve's head."""
+    calls = {"aca_gp": 0, "_curve_head": 0}
+
+    def counted(name):
+        real = getattr(acakit.experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(acakit.experiments, name, wrapper)
+
+    counted("aca_gp")
+    counted("_curve_head")
+    cfg = ExperimentConfig(realizations=3, **SMALL)
+    run_eps_sweep(cfg, [0.1, 0.25, 0.5])
+    assert calls == {"aca_gp": 9, "_curve_head": 3}
 
 
 # --- worker processes -----------------------------------------------------------
