@@ -32,7 +32,6 @@ from .lowrank import (
     Skeleton,
     StoppingParams,
     _SkeletonBuilder,
-    resolve_k_max,
 )
 
 __all__ = [
@@ -320,28 +319,26 @@ def aca_gp(
     pivot, cross and evaluation count, so runs that differ only in those
     share the rank-1 residual A - u_1 v_1^T.
 
-    A selected pivot at or below the pivot floor (PIVOT_FLOOR_REL times the
-    first pivot) ends the run with the rank reached so far; classical `aca`
-    instead skips such a row and tries another.  Otherwise the run reaches
-    k_max or the epsilon stop: the central subsets hold enough candidates
-    for every rank up to k_max.
+    A floor-level pivot ends the run (see `_SkeletonBuilder.run`); the
+    central subsets hold enough candidates for every rank up to k_max.
 
     Rank k costs at most k(n+m) + k(|ic|+|jc|) + n + m kernel evaluations.
     """
     if len(y) > len(x):
         return _transpose_skeleton(aca_gp(y, x, kernel, stop, opts, rng=rng))
-    k_max = resolve_k_max(stop.k_max, len(x), len(y))
-    builder = _SkeletonBuilder(x, y, kernel, k_max)
+    builder = _SkeletonBuilder(x, y, kernel, stop.k_max)
+    pivots = _geometric_pivots(builder, opts or GpOptions(), rng)
+    return builder.run(pivots, stop.epsilon, skip_floor=False)
+
+
+def _geometric_pivots(builder, opts, rng):
+    """`aca_gp`'s proposals, rank by rank.  The central subsets are formed
+    once the first cross is taken, and their sizes set on `builder`."""
+    x, y, k_max = builder.x, builder.y, builder.k_max
     i1, j1 = first_pivot(x, y)
     row = builder.residual_row(i1)
-    p1 = float(row[j1])
-    if abs(p1) <= builder.pivot_floor:
-        return builder.build()
-    builder.add_cross(i1, j1, p1, row, builder.residual_col(j1), "first")
-    if k_max == 1 or builder.converged(stop.epsilon):
-        return builder.build()
+    yield i1, j1, float(row[j1]), row, "first"
 
-    opts = opts or GpOptions()
     eps_r = (
         opts.epsilon_r
         if opts.epsilon_r is not None
@@ -351,40 +348,30 @@ def aca_gp(
     # selector picks from the work arrays: neither runs dry before k_max.
     ic_idx, _ = central_subset(x, i1, k_max, eps_r)
     jc_idx, _ = central_subset(y, j1, k_max, eps_r)
+    builder.central_row_count, builder.central_col_count = ic_idx.size, jc_idx.size
     ic_work = ic_idx[ic_idx != i1]
     jc_work = jc_idx[jc_idx != j1]
     use_circles = _circles_enabled(opts, x, y)
-    floor = builder.pivot_floor
     c2: Circle | None = None
 
     for r_next in range(2, k_max + 1):
-        selection: tuple[int, int, float] | None = None
         selector = "central"
         if r_next == 2 and use_circles:
             try:
                 i_k, j_k, pivot, c2 = select_rank2(
                     builder, i1, j1, ic_work, jc_work, rng
                 )
-                selection = (i_k, j_k, pivot)
                 selector = "circle2"
             except DegenerateGeometryError:
                 pass  # collinear trial row: magnitude fallback below
         elif r_next == 3 and c2 is not None:
             try:
-                selection = select_rank3(builder, i1, j1, c2, ic_work, jc_work)
+                i_k, j_k, pivot = select_rank3(builder, i1, j1, c2, ic_work, jc_work)
                 selector = "circle3"
             except DegenerateGeometryError:
                 pass  # every row candidate repeats a pivot point
-        if selection is None:
-            selection = select_higher(builder, ic_work, jc_work, rng)
-        i_k, j_k, pivot = selection
-        if abs(pivot) <= floor:
-            break
+        if selector == "central":
+            i_k, j_k, pivot = select_higher(builder, ic_work, jc_work, rng)
+        yield i_k, j_k, pivot, None, selector
         ic_work = ic_work[ic_work != i_k]
         jc_work = jc_work[jc_work != j_k]
-        row = builder.residual_row(i_k)
-        col = builder.residual_col(j_k)
-        builder.add_cross(i_k, j_k, pivot, row, col, selector)
-        if builder.converged(stop.epsilon):
-            break
-    return builder.build(central_rows=ic_idx.size, central_cols=jc_idx.size)

@@ -129,14 +129,12 @@ def _cmd_approximate(args) -> int:
         if args.central is not None
         else default_epsilon_r(k_max, min(n, m))
     )
+    # Checked for every method: the meta records --central with `aca` too.
+    opts = GpOptions(central, CircleHeuristics(args.circles))
     kernel = KernelHandle()
     if args.method == "aca":
         skeleton = aca(x, y, kernel, stop, rng)
     else:
-        opts = GpOptions(
-            epsilon_r=central,
-            use_circle_heuristics=CircleHeuristics(args.circles),
-        )
         skeleton = aca_gp(x, y, kernel, stop, opts, rng=rng)
     meta = {
         "version": __version__,

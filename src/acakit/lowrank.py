@@ -34,7 +34,7 @@ __all__ = [
     "write_skeleton_json",
 ]
 
-# Pivots smaller than this fraction of the first pivot terminate a run.
+# Pivots at or below this fraction of the first pivot count as zero.
 PIVOT_FLOOR_REL = 1e-12
 
 
@@ -53,8 +53,7 @@ class StoppingParams:
         k_max: rank cap; None defaults to half the smaller cloud size,
             and every value is clamped to min(n, m) (see resolve_k_max).
 
-    Pivots at or below PIVOT_FLOOR_REL times the first pivot magnitude
-    count as zero (see `aca` and `aca_gp` for what each does then).
+    See `_SkeletonBuilder.run` for the pivot floor and what each driver does.
     """
 
     epsilon: float
@@ -166,19 +165,20 @@ class _SkeletonBuilder:
     """Incremental cross-approximation state shared by every pivot strategy.
 
     Holds the growing U/V factors, residual row/column evaluation against
-    them, the norm recursion, and the bookkeeping that ends up on the
-    final Skeleton.
+    them, the norm recursion, the loop that ends every run, and the
+    bookkeeping that ends up on the final Skeleton.
     """
 
     def __init__(
-        self, x: PointCloud, y: PointCloud, kernel: KernelHandle, k_cap: int
+        self, x: PointCloud, y: PointCloud, kernel: KernelHandle, k_max: int | None
     ):
         self.x = x
         self.y = y
         self.kernel = kernel
         n, m = len(x), len(y)
-        self._u = np.zeros((n, k_cap))
-        self._v = np.zeros((m, k_cap))
+        self.k_max = resolve_k_max(k_max, n, m)
+        self._u = np.zeros((n, self.k_max))
+        self._v = np.zeros((m, self.k_max))
         self.rank = 0
         self.approx_norm = 0.0
         self.residual_norm = math.inf
@@ -189,6 +189,8 @@ class _SkeletonBuilder:
         # times the first pivot, set by the first cross.
         self.pivot_floor = 0.0
         self._start_count = kernel.eval_count
+        # Sizes of the central subsets an `aca_gp` run selects from.
+        self.central_row_count = self.central_col_count = 0
 
     def residual_row(self, i: int) -> np.ndarray:
         """Row i of the current residual A - U V^T (one row of kernel evals)."""
@@ -257,10 +259,31 @@ class _SkeletonBuilder:
         self.trace.append(PivotRecord(r + 1, int(i), int(j), float(pivot), selector))
         self.rank_eval_counts.append(self.kernel.eval_count - self._start_count)
 
-    def converged(self, epsilon: float) -> bool:
-        return self.residual_norm <= epsilon * self.approx_norm
+    def run(self, pivots, epsilon: float, skip_floor: bool) -> Skeleton:
+        """Take crosses from the proposals `pivots` until the run ends.
 
-    def build(self, central_rows: int = 0, central_cols: int = 0) -> Skeleton:
+        A proposal is (i, j, pivot, residual row i or None, selector); an
+        accepted one has its row evaluated if not given, then its column.
+        A pivot at or below PIVOT_FLOOR_REL times the first one counts as
+        zero: with skip_floor it is passed over (`aca` skips the row, its m
+        evaluations counted, and may go on until every row is used), and
+        otherwise it ends the run (`aca_gp`).  The run also ends at k_max,
+        once the last cross's norm is at most epsilon times the
+        approximant's, or when the proposals run out."""
+        for i, j, pivot, row, selector in pivots:
+            if abs(pivot) <= self.pivot_floor:
+                if skip_floor:
+                    continue
+                break
+            if row is None:
+                row = self.residual_row(i)
+            self.add_cross(i, j, pivot, row, self.residual_col(j), selector)
+            converged = self.residual_norm <= epsilon * self.approx_norm
+            if converged or self.rank == self.k_max:
+                break
+        return self.build()
+
+    def build(self) -> Skeleton:
         u = self._u[:, : self.rank].copy()
         v = self._v[:, : self.rank].copy()
         u.setflags(write=False)
@@ -273,8 +296,8 @@ class _SkeletonBuilder:
             pivot_trace=tuple(self.trace),
             rank_eval_counts=tuple(self.rank_eval_counts),
             norm_clamped=self.norm_clamped,
-            central_row_count=central_rows,
-            central_col_count=central_cols,
+            central_row_count=self.central_row_count,
+            central_col_count=self.central_col_count,
         )
 
 
@@ -291,25 +314,25 @@ def aca(
     the pivot column, evaluates that residual column, and appends the
     scaled cross.  The first row is drawn uniformly from the unused rows;
     afterwards the unused row with the largest entry of the previous scaled
-    column wins, ties going to the smallest index.  A row whose remaining
-    entries all sit at the pivot floor is skipped without spending a rank
-    (its m evaluations are still counted); `aca_gp` instead ends its run at
-    a floor-level pivot.  Without skipped rows, rank k costs exactly k(n+m)
-    kernel evaluations.
-
-    Returns the skeleton accumulated so far when rows or columns run out.
+    column wins, ties going to the smallest index.  A floor-level row is
+    skipped without spending a rank (see `_SkeletonBuilder.run`).  Without
+    skipped rows, rank k costs exactly k(n+m) kernel evaluations.
     """
-    n, m = len(x), len(y)
-    k_max = resolve_k_max(stop.k_max, n, m)
-    builder = _SkeletonBuilder(x, y, kernel, k_max)
-    used_rows = np.zeros(n, dtype=bool)
-    used_cols = np.zeros(m, dtype=bool)
-    while builder.rank < k_max and not used_rows.all():
-        if builder.rank == 0:
+    builder = _SkeletonBuilder(x, y, kernel, stop.k_max)
+    return builder.run(_partial_pivots(builder, rng), stop.epsilon, skip_floor=True)
+
+
+def _partial_pivots(builder: _SkeletonBuilder, rng: np.random.Generator):
+    """`aca`'s proposals: one per row, until every row is used."""
+    used_rows = np.zeros(len(builder.x), dtype=bool)
+    used_cols = np.zeros(len(builder.y), dtype=bool)
+    while not used_rows.all():
+        rank = builder.rank
+        if rank == 0:
             unused = (~used_rows).nonzero()[0]
             i_k = int(unused[rng.integers(unused.size)])
         else:
-            scores = np.abs(builder._u[:, builder.rank - 1])
+            scores = np.abs(builder._u[:, rank - 1])
             scores[used_rows] = -1.0
             i_k = int(scores.argmax())
         row = builder.residual_row(i_k)
@@ -317,16 +340,8 @@ def aca(
         scores = np.abs(row)
         scores[used_cols] = -1.0
         j_k = int(scores.argmax())
-        pivot = float(row[j_k])
-        if abs(pivot) <= builder.pivot_floor:
-            continue  # residual row vanishes; try another row
-        col = builder.residual_col(j_k)
-        used_cols[j_k] = True
-        selector = "random" if builder.rank == 0 else "partial"
-        builder.add_cross(i_k, j_k, pivot, row, col, selector)
-        if builder.converged(stop.epsilon):
-            break
-    return builder.build()
+        yield i_k, j_k, float(row[j_k]), row, "partial" if rank else "random"
+        used_cols[j_k] = builder.rank > rank  # not when the row was skipped
 
 
 def compression_ratio(skeleton: Skeleton, n: int, m: int) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acakit.acagp import (
@@ -28,8 +28,10 @@ from acakit.geometry import (
     circumcircle,
     place_clouds,
 )
-from acakit.kernel import KernelHandle
+from acakit import acagp
+from acakit.kernel import KernelHandle, _MatrixKernel
 from acakit.lowrank import (
+    PIVOT_FLOOR_REL,
     PivotsExhaustedError,
     StoppingParams,
     _SkeletonBuilder,
@@ -818,6 +820,136 @@ def test_drivers_cross_interpolate_random_clouds(n, m, data, dist, eps_r, mode, 
         tol = 1e-10 * np.abs(a).max()
         assert r[list(skel.pivot_rows)].max() <= tol
         assert r[:, list(skel.pivot_cols)].max() <= tol
+
+
+def assert_trace_replays(x, y, a, skel, k_max, eps_r=None):
+    """Replay each record of `skel.pivot_trace` against the dense residual
+    R_l = A - U_l V_l^T of the l crosses before it, formed here from the
+    skeleton's factors, in the orientation the driver ran (`aca_gp` solves
+    the swapped pair when n < m).  `eps_r` is the central radius of an
+    `aca_gp` run, None for `aca`.  Candidates within a few ulps x |A| of
+    the best count as ties."""
+    scale = np.abs(a).max()
+    tol = 64 * np.finfo(float).eps * scale
+    u, v = skel.u_matrix, skel.v_matrix
+    res = [a - u[:, :l] @ v[:, :l].T for l in range(skel.rank + 1)]
+    recs = [(r.i, r.j) for r in skel.pivot_trace]
+    rows_cloud = x
+    if eps_r is not None and len(y) > len(x):
+        rows_cloud = y
+        res = [r.T for r in res]
+        recs = [(j, i) for i, j in recs]
+    floor = PIVOT_FLOOR_REL * abs(skel.pivot_trace[0].pivot_value)
+    skipped: set[int] = set()
+    for l, rec in enumerate(skel.pivot_trace):
+        (i, j), r = recs[l], res[l]
+        used_rows = [p[0] for p in recs[:l]]
+        free = np.ones(r.shape[1], dtype=bool)
+        free[[p[1] for p in recs[:l]]] = False
+        assert abs(rec.pivot_value - r[i, j]) <= 1e-12 * scale
+        assert (rec.selector in ("random", "first")) == (l == 0)
+        if rec.selector in ("random", "partial"):
+            assert free[j]
+            assert abs(r[i, j]) >= np.abs(r[i, free]).max() - tol
+        if rec.selector == "partial":
+            # Unused rows ahead of i on the previous column were skipped:
+            # their residual row is at the floor on the unused columns.
+            col = np.abs(res[l - 1][:, recs[l - 1][1]])
+            assert i not in used_rows
+            for row in np.flatnonzero(col > col[i] + tol).tolist():
+                if row not in used_rows and row not in skipped:
+                    assert np.abs(r[row, free]).max() <= floor + tol
+                    skipped.add(row)
+        elif rec.selector == "first":
+            assert (rec.i, rec.j) == first_pivot(x, y)
+        elif rec.selector == "central":
+            pool, _ = central_subset(rows_cloud, recs[0][0], k_max, eps_r)
+            pool = np.setdiff1d(pool, used_rows)
+            assert i in pool
+            assert abs(r[i, j]) >= np.abs(r[pool, j]).max() - tol
+        elif rec.selector == "circle3":
+            pts = rows_cloud.points
+            assert pts[i].tolist() not in [pts[p].tolist() for p in used_rows]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    k=st.integers(1, 40),
+    eps_r=st.floats(0.0, 1.0, exclude_min=True),
+    kind=st.sampled_from(["uniform", "collinear", "grid"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, m=1, k=1, eps_r=1.0, kind="uniform", seed=0)
+@example(n=14, m=30, k=10, eps_r=0.3, kind="uniform", seed=1)  # swapped pair
+@example(n=40, m=40, k=40, eps_r=1.0, kind="grid", seed=2)  # repeated points
+@example(n=30, m=25, k=25, eps_r=0.05, kind="collinear", seed=3)
+def test_pivots_replay_against_dense_residual(n, m, k, eps_r, kind, seed):
+    """Every pivot of both drivers, `aca_gp` in every circle mode, holds
+    its value and its selector's rule on the dense residual."""
+    k = min(k, n, m)
+    rng = np.random.default_rng(seed)
+    x = property_cloud(kind, n, rng, (0.0, 0.0))
+    y = property_cloud(kind, m, rng, (2.0, 1.0))
+    a = KernelHandle().assemble_dense(x, y)
+    stop = StoppingParams(epsilon=1e-30, k_max=k)
+    assert_trace_replays(x, y, a, aca(x, y, KernelHandle(), stop, rng), k)
+    for mode in CircleHeuristics:
+        opts = GpOptions(epsilon_r=eps_r, use_circle_heuristics=mode)
+        skel = aca_gp(x, y, KernelHandle(), stop, opts, rng=rng)
+        assert_trace_replays(x, y, a, skel, k, eps_r)
+
+
+FIRST_CROSS_SHAPES = [(12, 12), (9, 14), (14, 9)]
+
+
+@pytest.mark.parametrize("n, m", FIRST_CROSS_SHAPES)
+def test_zero_matrix_ends_both_drivers_at_rank_zero(n, m):
+    """On an all-zero matrix `aca` tries every row and `aca_gp` stops
+    after the first pivot's row, on the smaller cloud's side."""
+    x, y, rng = pair(n + m, n=n, m=m, dist=2.0)
+    stop = StoppingParams(epsilon=1e-30, k_max=5)
+    kernel = _MatrixKernel(x, y, np.zeros((n, m)))
+    assert aca(x, y, kernel, stop, rng).rank == 0
+    assert kernel.eval_count == n * m
+    kernel = _MatrixKernel(x, y, np.zeros((n, m)))
+    skel = aca_gp(x, y, kernel, stop, rng=rng)
+    assert skel.rank == 0
+    assert kernel.eval_count == min(n, m)
+    assert skel.central_row_count == skel.central_col_count == 0
+
+
+@pytest.mark.parametrize("n, m", FIRST_CROSS_SHAPES)
+def test_zero_first_pivot_line_ends_only_acagp(n, m):
+    """A matrix that vanishes on the first pivot's line (row i1, or column
+    j1 when the driver runs on the swapped pair) ends `aca_gp` at rank 0,
+    while `aca` skips that row if it meets it and reaches k_max."""
+    x, y, rng = pair(n + m, n=n, m=m, dist=2.0)
+    a = KernelHandle().assemble_dense(x, y)
+    i1, j1 = first_pivot(x, y)
+    if n < m:
+        a[:, j1] = 0.0
+    else:
+        a[i1] = 0.0
+    stop = StoppingParams(epsilon=1e-30, k_max=5)
+    assert aca_gp(x, y, _MatrixKernel(x, y, a), stop, rng=rng).rank == 0
+    assert aca(x, y, _MatrixKernel(x, y, a), stop, rng).rank == 5
+
+
+@pytest.mark.parametrize("n, m", FIRST_CROSS_SHAPES)
+def test_acagp_rank_one_run_forms_no_central_subset(n, m, monkeypatch):
+    calls = []
+    subset = acagp.central_subset
+    monkeypatch.setattr(
+        acagp, "central_subset", lambda *args: calls.append(args) or subset(*args)
+    )
+    x, y, rng = pair(n + m, n=n, m=m, dist=2.0)
+    stop = StoppingParams(epsilon=1e-30, k_max=1)
+    assert aca_gp(x, y, KernelHandle(), stop, rng=rng).rank == 1
+    assert calls == []
+    aca_gp(x, y, KernelHandle(), StoppingParams(epsilon=1e-30, k_max=2), rng=rng)
+    assert len(calls) == 2
 
 
 def degenerate_cloud(kind, size, scale, rng, shift):

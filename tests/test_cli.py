@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import acakit
 import acakit._pool
@@ -309,6 +313,57 @@ def test_approximate_subnormal_central_fraction(capsys):
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     assert json.loads(captured.out)["rank"] == 5
+
+
+@pytest.mark.parametrize("method", ["aca", "acagp"])
+@pytest.mark.parametrize("central", ["nan", "0", "2"])
+def test_approximate_bad_central_exit_code(method, central, capsys):
+    """--central is checked for every method, so `aca` never writes a bad
+    radius into the skeleton's meta."""
+    argv = ["approximate", "--gen", "xi=1,n=3,m=3,dist=2", "--method", method,
+            "--central", central]
+    assert "epsilon_r" in cli_error(capsys, *argv)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    method=st.sampled_from(["aca", "acagp"]),
+    circles=st.sampled_from(["auto", "on", "off"]),
+    central=st.sampled_from([None, "0.5", "0", "-1", "2", "nan", "inf"]),
+    max_rank=st.sampled_from([None, "0", "1", "50"]),
+    epsilon=st.sampled_from(["1e-6", "0", "nan"]),
+    force=st.booleans(),
+)
+@example(n=3, m=3, method="aca", circles="auto", central="nan", max_rank=None,
+         epsilon="1e-6", force=True)
+@example(n=2, m=5, method="aca", circles="off", central="inf", max_rank="50",
+         epsilon="1e-6", force=True)
+def test_approximate_exit_code_contract(
+    n, m, method, circles, central, max_rank, epsilon, force
+):
+    """Any mix of options exits 0, 2 or 3; exit 2 prints one `error:`
+    line (after the admissibility warning under --force), and exit 0
+    writes strict JSON (no NaN or Infinity)."""
+    argv = ["approximate", "--gen", f"xi=1,n={n},m={m},dist=2", "--method", method,
+            "--circles", circles, "--epsilon", epsilon]
+    argv += ["--central", central] if central is not None else []
+    argv += ["--max-rank", max_rank] if max_rank is not None else []
+    argv += ["--force"] if force else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len([ln for ln in lines if ln.startswith("error:")]) == 1
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=reject_constant)
 
 
 def test_approximate_bad_gen_string(capsys):
