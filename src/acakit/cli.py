@@ -27,7 +27,7 @@ from .experiments import (
     run_benchmark,
     run_eps_sweep,
 )
-from .geometry import cloud_from_json, is_admissible, place_clouds
+from .geometry import _check_placement, cloud_from_json, is_admissible, place_clouds
 from .kernel import DenseCapExceededError, KernelHandle, SingularEvaluationError
 from .lowrank import (
     StoppingParams,
@@ -46,8 +46,9 @@ GEN_KEYS = ("xi", "n", "m", "dist")
 MAX_GRID_POINTS = 10_000
 
 
-def _parse_gen(text: str) -> dict:
-    """Parse a generation string like "xi=1,n=100,m=100,dist=2.5"."""
+def _parse_gen(text: str) -> tuple[float, int, int, float]:
+    """Parse a generation string like "xi=1,n=100,m=100,dist=2.5" into
+    (xi, n, m, dist)."""
     out: dict = {}
     for part in text.split(","):
         key, sep, value = part.partition("=")
@@ -60,12 +61,7 @@ def _parse_gen(text: str) -> dict:
     missing = [k for k in GEN_KEYS if k not in out]
     if missing:
         raise ValueError(f"--gen is missing {missing}")
-    return {
-        "xi": float(out["xi"]),
-        "n": int(out["n"]),
-        "m": int(out["m"]),
-        "dist": float(out["dist"]),
-    }
+    return float(out["xi"]), int(out["n"]), int(out["m"]), float(out["dist"])
 
 
 def _parse_central_range(text: str) -> list[float]:
@@ -97,29 +93,17 @@ def _parse_central_range(text: str) -> list[float]:
     return values
 
 
-def _load_clouds(args, rng):
-    if args.gen is not None:
-        g = _parse_gen(args.gen)
-        x, y, _ = place_clouds(g["xi"], g["n"], g["m"], g["dist"], rng)
-        return x, y
-    x = cloud_from_json(Path(args.clouds[0]).read_text())
-    y = cloud_from_json(Path(args.clouds[1]).read_text())
-    return x, y
-
-
 def _cmd_approximate(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    x, y = _load_clouds(args, rng)
-    if not is_admissible(x, y, args.eta):
-        if not args.force:
-            print(
-                f"error: clouds fail the admissibility test (eta={args.eta});"
-                " rerun with --force to proceed",
-                file=sys.stderr,
-            )
-            return 3
-        print("warning: clouds fail the admissibility test", file=sys.stderr)
-    n, m = len(x), len(y)
+    # Every option is checked before a cloud is placed or tested (--eta by
+    # the test itself, first), so an input error exits 2 even for clouds
+    # that would fail admissibility.
+    if args.gen is not None:
+        xi, n, m, dist = _parse_gen(args.gen)
+        _check_placement(xi, n, m, dist)
+    else:
+        x = cloud_from_json(Path(args.clouds[0]).read_text())
+        y = cloud_from_json(Path(args.clouds[1]).read_text())
+        n, m = len(x), len(y)
     k_max = resolve_k_max(args.max_rank, n, m)
     # Checked before the default radius rule reads k_max, so a bad
     # --max-rank is reported as such whatever --method and --central say.
@@ -131,6 +115,18 @@ def _cmd_approximate(args) -> int:
     )
     # Checked for every method: the meta records --central with `aca` too.
     opts = GpOptions(central, CircleHeuristics(args.circles))
+    rng = np.random.default_rng(args.seed)
+    if args.gen is not None:
+        x, y, _ = place_clouds(xi, n, m, dist, rng)
+    if not is_admissible(x, y, args.eta):
+        if not args.force:
+            print(
+                f"error: clouds fail the admissibility test (eta={args.eta});"
+                " rerun with --force to proceed",
+                file=sys.stderr,
+            )
+            return 3
+        print("warning: clouds fail the admissibility test", file=sys.stderr)
     kernel = KernelHandle()
     if args.method == "aca":
         skeleton = aca(x, y, kernel, stop, rng)
@@ -210,13 +206,13 @@ def _cmd_sweep_central(args) -> int:
 
 
 def _cmd_genetic(args) -> int:
+    stop = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=args.max_rank)
     rng = np.random.default_rng(args.seed)
     x, y, _ = place_clouds(args.xi, args.n, args.m, args.dist, rng)
     kernel = KernelHandle()
     a = kernel.assemble_dense(x, y)
     result = genetic_search(a, args.max_rank, return_grids=args.grid_out is not None)
     kern_aca = KernelHandle()
-    stop = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=args.max_rank)
     skeleton = aca(x, y, kern_aca, stop, rng)
     k_found = len(result.ranks)
     e_aca = rank_errors(a, skeleton, k_found)

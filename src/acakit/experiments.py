@@ -10,7 +10,7 @@ gains are aggregated geometrically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from ._pool import _usable_cpus, pool_map
 from ._version import __version__
 from .acagp import GpOptions, aca_gp
-from .geometry import PointCloud, place_clouds
+from .geometry import PointCloud, _check_placement, place_clouds
 from .kernel import KernelHandle, _MatrixKernel
 from .lowrank import Skeleton, StoppingParams, aca, resolve_k_max
 from .oracle import _curve_from, _curve_head, gain, rank_errors, svd_rank_errors
@@ -66,6 +66,12 @@ class ExperimentConfig:
     Clouds are drawn in xi x 1 rectangles, n points against m, separated
     to target_dist.  Realization r uses seed base_seed + r for placement
     and for both methods, so any realization can be reproduced alone.
+
+    The fields are checked here, before any realization, by each rule's
+    owner: `place_clouds`' check for xi, n, m and target_dist,
+    `StoppingParams` for k_max and `GpOptions` for epsilon_r, both built
+    once as `stopping` (to the resolved k_max) and `gp_options`.  No run
+    tests admissibility; the eta check keeps a bad eta out of the CSV.
     """
 
     xi: float = 1.0
@@ -77,20 +83,17 @@ class ExperimentConfig:
     epsilon_r: float = 0.25
     base_seed: int = 42
     eta: float = 1.0
+    stopping: StoppingParams = field(init=False, repr=False, compare=False)
+    gp_options: GpOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.xi <= 1.0:
-            raise ValueError("xi must lie in (0, 1]")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("cloud sizes must be at least 1")
-        if not (math.isfinite(self.target_dist) and self.target_dist > 0.0):
-            raise ValueError("target_dist must be finite and positive")
+        _check_placement(self.xi, self.n, self.m, self.target_dist)
         if self.realizations < 1:
             raise ValueError("need at least one realization")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        if not 0.0 < self.epsilon_r <= 1.0:
-            raise ValueError("epsilon_r must lie in (0, 1]")
+        k_max = resolve_k_max(self.k_max, self.n, self.m)
+        stopping = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=k_max)
+        object.__setattr__(self, "stopping", stopping)
+        object.__setattr__(self, "gp_options", GpOptions(epsilon_r=self.epsilon_r))
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError("eta must be finite and positive")
 
@@ -163,11 +166,6 @@ class _Classical:
     gp_curve: tuple[float, np.ndarray | None, float] | None = None
 
 
-def _stopping(config: ExperimentConfig) -> StoppingParams:
-    k_max = resolve_k_max(config.k_max, config.n, config.m)
-    return StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=k_max)
-
-
 def _classical(config: ExperimentConfig, index: int) -> _Classical:
     """Place realization `index`, assemble its dense matrix, run classical
     ACA and take the SVD floors.
@@ -181,7 +179,7 @@ def _classical(config: ExperimentConfig, index: int) -> _Classical:
     x, y, theta = place_clouds(
         config.xi, config.n, config.m, config.target_dist, rng
     )
-    stop = _stopping(config)
+    stop = config.stopping
     a = KernelHandle().assemble_dense(x, y)
     kernel = _MatrixKernel(x, y, a)
     skel_aca = aca(x, y, kernel, stop, rng)
@@ -221,14 +219,11 @@ def run_realization(
     if classical is None:
         classical = _classical(config, index)
     x, y, a = classical.x, classical.y, classical.a
-    stop = _stopping(config)
-    k_max = stop.k_max
+    k_max = config.stopping.k_max
     rng = classical.rng
     rng.bit_generator.state = classical.rng_state
     kernel = _MatrixKernel(x, y, a)
-    skel_gp = aca_gp(
-        x, y, kernel, stop, GpOptions(epsilon_r=config.epsilon_r), rng=rng
-    )
+    skel_gp = aca_gp(x, y, kernel, config.stopping, config.gp_options, rng=rng)
     if classical.gp_curve is None:
         classical.gp_curve = _curve_head(a, skel_gp)
     errors = {

@@ -422,6 +422,19 @@ def _uniform_points(
     return rng.uniform(lo, hi, size=(count, 2))
 
 
+def _check_placement(xi: float, n: int, m: int, target_dist: float) -> None:
+    """The input rules of `place_clouds`, which callers apply before they
+    start any work that ends in a placement."""
+    if not 0.0 < xi <= 1.0:
+        raise ValueError("xi must lie in (0, 1]")
+    if n < 1 or m < 1:
+        raise ValueError("cloud sizes must be at least 1")
+    if not 0.0 < target_dist <= MAX_COORDINATE:
+        raise ValueError(
+            f"target_dist must be finite, positive and at most {MAX_COORDINATE:g}"
+        )
+
+
 def place_clouds(
     xi: float,
     n: int,
@@ -453,7 +466,7 @@ def place_clouds(
     Args:
         xi: rectangle aspect ratio a/b in (0, 1]; the rectangles are a x b
             with b = 1.
-        n, m: points in X and Y.
+        n, m: points in X and Y, at least 1 each.
         target_dist: required true distance between the clouds, in
             (0, MAX_COORDINATE].
         rng: source of all randomness (draw order: Y, X, theta, direction).
@@ -461,12 +474,7 @@ def place_clouds(
     Returns:
         (X, Y, theta).
     """
-    if not 0.0 < xi <= 1.0:
-        raise ValueError("xi must lie in (0, 1]")
-    if not 0.0 < target_dist <= MAX_COORDINATE:
-        raise ValueError(
-            f"target_dist must be finite, positive and at most {MAX_COORDINATE:g}"
-        )
+    _check_placement(xi, n, m, target_dist)
     a, b = xi, 1.0
     y = generate_cloud(a, b, m, rng)
     # X's points are drawn and rotated in the arithmetic of generate_cloud

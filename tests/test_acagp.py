@@ -26,6 +26,7 @@ from acakit.geometry import (
     _cross2,
     _distances_to,
     circumcircle,
+    conjugate_circle,
     place_clouds,
 )
 from acakit import acagp
@@ -834,18 +835,26 @@ def assert_trace_replays(x, y, a, skel, k_max, eps_r=None):
     u, v = skel.u_matrix, skel.v_matrix
     res = [a - u[:, :l] @ v[:, :l].T for l in range(skel.rank + 1)]
     recs = [(r.i, r.j) for r in skel.pivot_trace]
-    rows_cloud = x
+    rows_cloud, cols_cloud = x, y
     if eps_r is not None and len(y) > len(x):
-        rows_cloud = y
+        rows_cloud, cols_cloud = y, x
         res = [r.T for r in res]
         recs = [(j, i) for i, j in recs]
+    rp, cp = rows_cloud.points, cols_cloud.points
     floor = PIVOT_FLOOR_REL * abs(skel.pivot_trace[0].pivot_value)
     skipped: set[int] = set()
     for l, rec in enumerate(skel.pivot_trace):
         (i, j), r = recs[l], res[l]
         used_rows = [p[0] for p in recs[:l]]
+        used_cols = [p[1] for p in recs[:l]]
         free = np.ones(r.shape[1], dtype=bool)
-        free[[p[1] for p in recs[:l]]] = False
+        free[used_cols] = False
+        if eps_r is not None and l > 0:
+            (i1, j1), i2 = recs[0], recs[1][0]
+            pool, _ = central_subset(rows_cloud, i1, k_max, eps_r)
+            pool = np.setdiff1d(pool, used_rows)
+            col_pool, _ = central_subset(cols_cloud, j1, k_max, eps_r)
+            col_pool = np.setdiff1d(col_pool, used_cols)
         assert abs(rec.pivot_value - r[i, j]) <= 1e-12 * scale
         assert (rec.selector in ("random", "first")) == (l == 0)
         if rec.selector in ("random", "partial"):
@@ -863,13 +872,36 @@ def assert_trace_replays(x, y, a, skel, k_max, eps_r=None):
         elif rec.selector == "first":
             assert (rec.i, rec.j) == first_pivot(x, y)
         elif rec.selector == "central":
-            pool, _ = central_subset(rows_cloud, recs[0][0], k_max, eps_r)
-            pool = np.setdiff1d(pool, used_rows)
             assert i in pool
             assert abs(r[i, j]) >= np.abs(r[pool, j]).max() - tol
+        elif rec.selector == "circle2":
+            assert i in pool
+            circle = circumcircle(rp[i1], cp[j1], rp[i])
+            assert_walk_stop(r[i], col_pool, cp, circle, j, tol)
         elif rec.selector == "circle3":
-            pts = rows_cloud.points
-            assert pts[i].tolist() not in [pts[p].tolist() for p in used_rows]
+            # The row nearest the conjugate circle at x_i1 whose point
+            # repeats no pivot point; the columns walk the one at y_j1.
+            assert skel.pivot_trace[1].selector == "circle2"
+            c2 = circumcircle(rp[i1], cp[j1], rp[i2])
+            conj_x = conjugate_circle(c2, rp[i1], cp[j1] - rp[i1])
+            conj_y = conjugate_circle(c2, cp[j1], rp[i1] - cp[j1])
+            order = pool[_circle_distances(rp[pool], conj_x).argsort(kind="stable")]
+            pivots = [rp[p].tolist() for p in used_rows]
+            assert i == next(p for p in order if rp[p].tolist() not in pivots)
+            assert_walk_stop(r[i], col_pool, cp, conj_y, j, tol)
+
+
+def assert_walk_stop(row, pool, points, circle, j, tol):
+    """`j` is where a walk over `pool` stops on the residual `row`: the
+    candidates go nearest `circle` first (ties in pool order), and the
+    walk takes the last candidate before the magnitude first fails to
+    increase, or the last candidate if it never fails.  Magnitudes within
+    `tol` of each other may go either way."""
+    order = pool[_circle_distances(points[pool], circle).argsort(kind="stable")]
+    mags = np.abs(row[order])
+    pos = order.tolist().index(j)
+    assert (mags[1:pos + 1] > mags[:pos] - tol).all()
+    assert pos == len(order) - 1 or mags[pos + 1] <= mags[pos] + tol
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -19,7 +19,13 @@ import acakit
 import acakit._pool
 from acakit import __version__
 from acakit.cli import main
-from acakit.geometry import PointCloud, cloud_to_json, generate_cloud, place_clouds
+from acakit.geometry import (
+    PointCloud,
+    cloud_to_json,
+    generate_cloud,
+    is_admissible,
+    place_clouds,
+)
 
 
 def write_cloud_pair(tmp_path, seed=0, n=25, m=25, dist=2.5):
@@ -333,35 +339,58 @@ def reject_constant(name):
 @given(
     n=st.integers(1, 6),
     m=st.integers(1, 6),
+    dist=st.sampled_from(["2", "0.3"]),
     method=st.sampled_from(["aca", "acagp"]),
     circles=st.sampled_from(["auto", "on", "off"]),
     central=st.sampled_from([None, "0.5", "0", "-1", "2", "nan", "inf"]),
     max_rank=st.sampled_from([None, "0", "1", "50"]),
     epsilon=st.sampled_from(["1e-6", "0", "nan"]),
+    eta=st.sampled_from([None, "1", "0", "nan"]),
     force=st.booleans(),
 )
-@example(n=3, m=3, method="aca", circles="auto", central="nan", max_rank=None,
-         epsilon="1e-6", force=True)
-@example(n=2, m=5, method="aca", circles="off", central="inf", max_rank="50",
-         epsilon="1e-6", force=True)
+@example(n=3, m=3, dist="2", method="aca", circles="auto", central="nan",
+         max_rank=None, epsilon="1e-6", eta=None, force=True)
+@example(n=2, m=5, dist="2", method="aca", circles="off", central="inf",
+         max_rank="50", epsilon="1e-6", eta=None, force=True)
+@example(n=4, m=4, dist="0.3", method="acagp", circles="auto", central=None,
+         max_rank=None, epsilon="nan", eta=None, force=False)
+@example(n=4, m=4, dist="0.3", method="acagp", circles="auto", central=None,
+         max_rank=None, epsilon="1e-6", eta=None, force=False)  # exit 3
+@example(n=4, m=4, dist="0.3", method="aca", circles="on", central="0.5",
+         max_rank="1", epsilon="1e-6", eta="1", force=True)  # exit 0
 def test_approximate_exit_code_contract(
-    n, m, method, circles, central, max_rank, epsilon, force
+    n, m, dist, method, circles, central, max_rank, epsilon, eta, force
 ):
-    """Any mix of options exits 0, 2 or 3; exit 2 prints one `error:`
-    line (after the admissibility warning under --force), and exit 0
-    writes strict JSON (no NaN or Infinity)."""
-    argv = ["approximate", "--gen", f"xi=1,n={n},m={m},dist=2", "--method", method,
+    """An invalid option exits 2 with one `error:` line and nothing else,
+    whether or not the clouds pass the admissibility test and whatever
+    --force says.  Valid options exit 3 on clouds that fail the test
+    without --force, and 0 otherwise with strict JSON (no NaN or
+    Infinity)."""
+    gen = f"xi=1,n={n},m={m},dist={dist}"
+    argv = ["approximate", "--gen", gen, "--method", method,
             "--circles", circles, "--epsilon", epsilon]
     argv += ["--central", central] if central is not None else []
     argv += ["--max-rank", max_rank] if max_rank is not None else []
+    argv += ["--eta", eta] if eta is not None else []
     argv += ["--force"] if force else []
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 2, 3)
-    if code == 2:
-        lines = err.getvalue().splitlines()
-        assert len([ln for ln in lines if ln.startswith("error:")]) == 1
+    invalid = (
+        central in ("0", "-1", "2", "nan", "inf")
+        or max_rank == "0"
+        or epsilon in ("0", "nan")
+        or eta in ("0", "nan")
+    )
+    if invalid:
+        assert code == 2
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error:")
+        assert out.getvalue() == ""
+        return
+    x, y, _ = place_clouds(1.0, n, m, float(dist), np.random.default_rng(0))
+    admissible = is_admissible(x, y, float(eta or 1))
+    assert code == (0 if admissible or force else 3)
     if code == 0:
         json.loads(out.getvalue(), parse_constant=reject_constant)
 
@@ -747,21 +776,55 @@ def test_sweep_central_bad_range(capsys):
     assert main(["sweep-central", "--central", "0.5:0.1:0.1"]) == 2
 
 
-def test_sweep_central_rejects_grid_before_any_realization(monkeypatch, capsys):
+def record_calls(monkeypatch, module, *names):
+    """Replace each named function of `module` by a wrapper that records
+    its name, and return the record."""
     calls = []
-    real = acakit.experiments.place_clouds
+    for name in names:
+        real = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(acakit.experiments, "place_clouds", counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_central_rejects_grid_before_any_realization(monkeypatch, capsys):
+    calls = record_calls(monkeypatch, acakit.experiments, "place_clouds")
     argv = ["sweep-central", "--n", "20", "--m", "20", "--realizations", "2",
             "--max-rank", "2", "--central", "0.5:1.5:0.5"]
-    assert main(argv) == 2
-    error = [ln for ln in capsys.readouterr().err.splitlines()
-             if ln.startswith("error:")]
-    assert len(error) == 1 and "epsilon_r" in error[0]
+    assert "epsilon_r" in cli_error(capsys, *argv)
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["benchmark", "sweep-central"])
+@pytest.mark.parametrize("dist", ["1e200", "nan"])
+def test_bad_dist_starts_no_worker_and_places_no_cloud(
+    command, dist, monkeypatch, capsys
+):
+    """`place_clouds`' rule refuses --dist before the first realization,
+    with 200 realizations on two threads that would otherwise pool."""
+    calls = record_calls(
+        monkeypatch, acakit.experiments, "pool_map", "place_clouds"
+    )
+    argv = [command, "--dist", dist, "--threads", "2", "--realizations", "200",
+            "--n", "5", "--m", "5"]
+    assert cli_error(capsys, *argv) == (
+        "error: target_dist must be finite, positive and at most 1e+150"
+    )
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["genetic", "--max-rank", "0"], "k_max must be at least 1"),
+    (["approximate", "--gen", "xi=1,n=4,m=4,dist=0.3", "--epsilon", "nan"],
+     "epsilon must be finite and positive"),
+], ids=["genetic", "approximate"])
+def test_bad_option_places_and_tests_no_cloud(argv, message, monkeypatch, capsys):
+    calls = record_calls(monkeypatch, acakit.cli, "place_clouds", "is_admissible")
+    assert cli_error(capsys, *argv) == f"error: {message}"
     assert calls == []
 
 
