@@ -21,13 +21,16 @@ from .acagp import CircleHeuristics, GpOptions, aca_gp, default_epsilon_r
 from .experiments import (
     RUN_TO_RANK_EPSILON,
     ExperimentConfig,
+    _check_seed,
     _fmt,
     render_benchmark_csv,
     render_sweep_csv,
     run_benchmark,
     run_eps_sweep,
 )
-from .geometry import _check_placement, cloud_from_json, is_admissible, place_clouds
+from .geometry import (
+    _check_eta, _check_placement, cloud_from_json, is_admissible, place_clouds
+)
 from .kernel import DenseCapExceededError, KernelHandle, SingularEvaluationError
 from .lowrank import (
     StoppingParams,
@@ -36,7 +39,7 @@ from .lowrank import (
     resolve_k_max,
     write_skeleton_json,
 )
-from .oracle import genetic_search, rank_errors, svd_rank_errors
+from .oracle import _check_genetic_size, genetic_search, rank_errors, svd_rank_errors
 
 __all__ = ["main"]
 
@@ -93,10 +96,33 @@ def _parse_central_range(text: str) -> list[float]:
     return values
 
 
-def _cmd_approximate(args) -> int:
-    # Every option is checked before a cloud is placed or tested (--eta by
-    # the test itself, first), so an input error exits 2 even for clouds
-    # that would fail admissibility.
+class _Output:
+    """A subcommand's output: the file at `path`, or stdout when path is
+    None.  The path is checked here, before any work: its directory must
+    exist and it must not be one.  `write` opens the file only after the
+    work, so a refused or failed run leaves an existing file as it was."""
+
+    def __init__(self, path: str | None, option: str = "--out"):
+        self.path = path
+        if path is not None and Path(path).is_dir():
+            raise ValueError(f"{option} {path} is a directory")
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"{option} {path}: no directory {Path(path).parent}")
+
+    def write(self, emit) -> None:
+        """The one writer of every subcommand's output: emit(fh) writes it
+        into the open destination fh."""
+        if self.path is None:
+            emit(sys.stdout)
+        else:
+            with Path(self.path).open("w") as fh:
+                emit(fh)
+
+
+def _cmd_approximate(args, out: _Output) -> int:
+    # Every option is checked before a cloud is placed or tested, so an
+    # input error exits 2 even for clouds that would fail admissibility.
+    _check_eta(args.eta)
     if args.gen is not None:
         xi, n, m, dist = _parse_gen(args.gen)
         _check_placement(xi, n, m, dist)
@@ -157,15 +183,13 @@ def _cmd_approximate(args) -> int:
         f" compression={compression_ratio(skeleton, n, m):.6f}"
         f" kernel_evals={kernel.eval_count}"
     )
-    if args.out is not None:
-        with Path(args.out).open("w") as fh:
-            write_skeleton_json(skeleton, fh, meta)
-            fh.write("\n")
-        print(summary)
-    else:
-        write_skeleton_json(skeleton, sys.stdout, meta)
-        sys.stdout.write("\n")
-        print(summary, file=sys.stderr)
+
+    def document(fh):
+        write_skeleton_json(skeleton, fh, meta)
+        fh.write("\n")
+
+    out.write(document)
+    print(summary, file=sys.stderr if args.out is None else sys.stdout)
     return 0
 
 
@@ -183,35 +207,32 @@ def _benchmark_config(args, epsilon_r: float | None = None) -> ExperimentConfig:
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is not None:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_benchmark(args) -> int:
+def _cmd_benchmark(args, out: _Output) -> int:
     config = _benchmark_config(args)
     stats = run_benchmark(config, args.threads)
-    _emit(render_benchmark_csv(stats, config), args.out)
+    csv = render_benchmark_csv(stats, config)
+    out.write(lambda fh: fh.write(csv))
     return 0
 
 
-def _cmd_sweep_central(args) -> int:
+def _cmd_sweep_central(args, out: _Output) -> int:
     values = _parse_central_range(args.central)
     config = _benchmark_config(args, epsilon_r=values[0])
     stats = run_eps_sweep(config, values, args.threads)
-    _emit(render_sweep_csv(values, stats, config), args.out)
+    csv = render_sweep_csv(values, stats, config)
+    out.write(lambda fh: fh.write(csv))
     return 0
 
 
-def _cmd_genetic(args) -> int:
+def _cmd_genetic(args, out: _Output) -> int:
+    grid_out = None if args.grid_out is None else _Output(args.grid_out, "--grid-out")
+    _check_genetic_size(args.n, args.m)
     stop = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=args.max_rank)
     rng = np.random.default_rng(args.seed)
     x, y, _ = place_clouds(args.xi, args.n, args.m, args.dist, rng)
     kernel = KernelHandle()
     a = kernel.assemble_dense(x, y)
-    result = genetic_search(a, args.max_rank, return_grids=args.grid_out is not None)
+    result = genetic_search(a, args.max_rank, return_grids=grid_out is not None)
     kern_aca = KernelHandle()
     skeleton = aca(x, y, kern_aca, stop, rng)
     k_found = len(result.ranks)
@@ -229,8 +250,8 @@ def _cmd_genetic(args) -> int:
             f"{r.rank},{_fmt(r.rel_error)},{_fmt(e_aca[r.rank - 1])},"
             f"{_fmt(e_svd[r.rank - 1])},{r.pivot[0]},{r.pivot[1]}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    if args.grid_out is not None:
+    out.write(lambda fh: fh.write("\n".join(lines) + "\n"))
+    if grid_out is not None:
         glines = [
             f"# acakit {__version__}",
             f"# per-pivot relative errors, seed: {args.seed}",
@@ -239,7 +260,7 @@ def _cmd_genetic(args) -> int:
         for rank_idx, grid in enumerate(result.grids, start=1):
             for i, j in np.argwhere(~np.isnan(grid)):
                 glines.append(f"{rank_idx},{i},{j},{_fmt(grid[i, j])}")
-        Path(args.grid_out).write_text("\n".join(glines) + "\n")
+        grid_out.write(lambda fh: fh.write("\n".join(glines) + "\n"))
     return 0
 
 
@@ -329,7 +350,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # The rules of the options every subcommand takes; each subcommand
+        # checks the rest of its options before it starts any work.
+        _check_seed(args.seed)
+        return args.func(args, _Output(args.out))
     except (
         ValueError,
         OSError,

@@ -9,7 +9,6 @@ gains are aggregated geometrically.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -18,7 +17,7 @@ import numpy as np
 from ._pool import _usable_cpus, pool_map
 from ._version import __version__
 from .acagp import GpOptions, aca_gp
-from .geometry import PointCloud, _check_placement, place_clouds
+from .geometry import PointCloud, _check_eta, _check_placement, place_clouds
 from .kernel import KernelHandle, _MatrixKernel
 from .lowrank import Skeleton, StoppingParams, aca, resolve_k_max
 from .oracle import _curve_from, _curve_head, gain, rank_errors, svd_rank_errors
@@ -59,6 +58,13 @@ LOG_FLOOR = 1e-300
 MIN_RUNS_PER_WORKER = 100
 
 
+def _check_seed(seed: int) -> None:
+    """The rule for every seed, applied before any work rather than where
+    `np.random.default_rng` first meets it."""
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark setting; defaults give the desk-scale reference run.
@@ -70,8 +76,9 @@ class ExperimentConfig:
     The fields are checked here, before any realization, by each rule's
     owner: `place_clouds`' check for xi, n, m and target_dist,
     `StoppingParams` for k_max and `GpOptions` for epsilon_r, both built
-    once as `stopping` (to the resolved k_max) and `gp_options`.  No run
-    tests admissibility; the eta check keeps a bad eta out of the CSV.
+    once as `stopping` (to the resolved k_max) and `gp_options`,
+    `_check_seed` for base_seed and `is_admissible`'s check for eta.  No
+    run tests admissibility; the eta check keeps a bad eta out of the CSV.
     """
 
     xi: float = 1.0
@@ -88,14 +95,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_placement(self.xi, self.n, self.m, self.target_dist)
+        _check_seed(self.base_seed)
         if self.realizations < 1:
             raise ValueError("need at least one realization")
         k_max = resolve_k_max(self.k_max, self.n, self.m)
         stopping = StoppingParams(epsilon=RUN_TO_RANK_EPSILON, k_max=k_max)
         object.__setattr__(self, "stopping", stopping)
         object.__setattr__(self, "gp_options", GpOptions(epsilon_r=self.epsilon_r))
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError("eta must be finite and positive")
+        _check_eta(self.eta)
 
 
 @dataclass(frozen=True, eq=False)

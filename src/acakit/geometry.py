@@ -34,6 +34,9 @@ __all__ = [
 # Two such points are at most 2.9e150 apart, so squared distances (at most
 # 8e300) and with them every kernel entry stay finite and nonzero.
 MAX_COORDINATE = 1e150
+# Most points `place_clouds` draws for one cloud.  A draw of 1e8 points
+# takes 1.6 GB; far beyond that it ends in a MemoryError, not an error line.
+MAX_CLOUD_SIZE = 10**8
 
 
 class DegenerateGeometryError(ValueError):
@@ -278,12 +281,17 @@ def is_admissible(x: PointCloud, y: PointCloud, eta: float = 1.0) -> bool:
     with alpha = eta/(1+eta), equivalent to the usual far-field criterion
     min(diam) <= eta * dist(X, Y) once dist is relaxed to the barycenter
     separation minus the smaller diameter.  eta must be finite and
-    positive.
+    positive (`_check_eta`).
     """
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise ValueError("eta must be finite and positive")
+    _check_eta(eta)
     gap = _length(x.barycenter - y.barycenter)
     return min(x.diameter, y.diameter) <= eta / (1.0 + eta) * gap
+
+
+def _check_eta(eta: float) -> None:
+    """`is_admissible`'s rule for eta, which callers apply before any work."""
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError("eta must be finite and positive")
 
 
 # --- circles -----------------------------------------------------------
@@ -427,8 +435,8 @@ def _check_placement(xi: float, n: int, m: int, target_dist: float) -> None:
     start any work that ends in a placement."""
     if not 0.0 < xi <= 1.0:
         raise ValueError("xi must lie in (0, 1]")
-    if n < 1 or m < 1:
-        raise ValueError("cloud sizes must be at least 1")
+    if not (1 <= n <= MAX_CLOUD_SIZE and 1 <= m <= MAX_CLOUD_SIZE):
+        raise ValueError(f"cloud sizes must lie in [1, {MAX_CLOUD_SIZE:g}]")
     if not 0.0 < target_dist <= MAX_COORDINATE:
         raise ValueError(
             f"target_dist must be finite, positive and at most {MAX_COORDINATE:g}"

@@ -6,8 +6,6 @@ all complexity claims and budget checks.
 """
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .geometry import PointCloud, _as_xy, _distances_to, _length, _squared_distances
@@ -35,8 +33,8 @@ class KernelHandle:
     """Kernel kappa(x, y) = 1/|x - y| plus a monotone evaluation counter.
 
     The counter increments by the number of scalar kernel values computed
-    (m for a row, n for a column, n*m for dense assembly) and is safe to
-    bump from concurrent threads.
+    (m for a row, n for a column, n*m for dense assembly); a handle belongs
+    to one thread.
 
     The four vector probes (`eval_row`, `eval_col`, `eval_row_subset`,
     `eval_col_subset`) go through one step, `_entries`.  A run that already
@@ -49,22 +47,17 @@ class KernelHandle:
 
     def __init__(self):
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def eval_count(self) -> int:
         return self._count
-
-    def _tally(self, evaluations: int) -> None:
-        with self._lock:
-            self._count += evaluations
 
     def _counted(self, dist: np.ndarray) -> np.ndarray:
         """Kernel values 1/dist, one counted evaluation per distance; a
         singular distance raises before anything is counted."""
         if dist.size and dist.min() < SINGULAR_DISTANCE:
             raise SingularEvaluationError("points closer than 1e-14")
-        self._tally(dist.size)
+        self._count += dist.size
         return 1.0 / dist
 
     def _entries(self, x: PointCloud, y: PointCloud, rows, cols) -> np.ndarray:
@@ -91,7 +84,7 @@ class KernelHandle:
         dist = _length(d)
         if dist < SINGULAR_DISTANCE:
             raise SingularEvaluationError("points closer than 1e-14")
-        self._tally(1)
+        self._count += 1
         return 1.0 / dist
 
     def eval_row(self, x: PointCloud, y: PointCloud, i: int) -> np.ndarray:
@@ -148,5 +141,5 @@ class _MatrixKernel(KernelHandle):
             values = self._a[cols, rows]
         else:
             raise ValueError("clouds differ from those of the matrix")
-        self._tally(values.size)
+        self._count += values.size
         return values

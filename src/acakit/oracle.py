@@ -232,6 +232,14 @@ class GeneticSearchResult:
     grids: tuple[np.ndarray, ...] | None = None
 
 
+def _check_genetic_size(n: int, m: int) -> None:
+    """`genetic_search`'s size cap, which callers apply before any work."""
+    if n > GENETIC_CAP or m > GENETIC_CAP:
+        raise DenseCapExceededError(
+            f"genetic search takes n and m up to {GENETIC_CAP}, got n={n}, m={m}"
+        )
+
+
 def genetic_search(
     a: np.ndarray,
     k_max: int,
@@ -251,8 +259,7 @@ def genetic_search(
     """
     a = np.asarray(a, dtype=float)
     n, m = a.shape
-    if n > GENETIC_CAP or m > GENETIC_CAP:
-        raise DenseCapExceededError(f"{n}x{m} exceeds genetic cap of {GENETIC_CAP}")
+    _check_genetic_size(n, m)
     fro = float(np.linalg.norm(a))
     if fro == 0.0:
         raise ValueError("zero matrix has no relative error")

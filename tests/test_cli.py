@@ -21,6 +21,7 @@ from acakit import __version__
 from acakit.cli import main
 from acakit.geometry import (
     PointCloud,
+    cloud_from_json,
     cloud_to_json,
     generate_cloud,
     is_admissible,
@@ -38,12 +39,14 @@ def write_cloud_pair(tmp_path, seed=0, n=25, m=25, dist=2.5):
 
 
 def cli_error(capsys, *args):
-    """Run `main` in process, expect exit status 2 and one `error:` line on
-    stderr, and return that line.  An exception that leaves `main`, which a
-    fresh interpreter would print as a traceback, fails the test."""
+    """Run `main` in process, expect exit status 2, nothing on stdout and
+    one `error:` line on stderr, and return that line.  An exception that
+    leaves `main`, which a fresh interpreter would print as a traceback,
+    fails the test."""
     assert main(list(args)) == 2
-    err = capsys.readouterr().err
-    error = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
     assert len(error) == 1
     return error[0]
 
@@ -335,8 +338,69 @@ def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+# Cloud files for the contract properties: X, and the Y that each
+# `--clouds` draw pairs with it.  The first two Y are valid clouds.
+CONTRACT_X = '{"points": [[0, 0], [0.4, 0.1], [0.2, 0.5]]}'
+CONTRACT_Y = {
+    "duplicate-points": '{"points": [[3, 0], [3, 0], [3.5, 0.2]]}',
+    "shares-a-point-of-x": '{"points": [[0.4, 0.1], [3, 0], [3.2, 0.4]]}',
+    "empty-object": "{}",
+    "no-points": '{"pts": [[3, 0]]}',
+    "nan": '{"points": [[NaN, 0]]}',
+    "inf": '{"points": [[3, Infinity]]}',
+    "1-d": '{"points": [3, 0]}',
+    "3-columns": '{"points": [[3, 0, 0]]}',
+    "strings": '{"points": [["3", "0"]]}',
+    "booleans": '{"points": [[true, false]]}',
+}
+VALID_Y = ("duplicate-points", "shares-a-point-of-x")
+BAD_GEN = (
+    "xi=1,n=4,m=4,dist=2,k=3",
+    "xi=1,n=4,m=4,n=5,dist=2",
+    "xi=one,n=4,m=4,dist=2",
+    "xi=1,n=4.5,m=4,dist=2",
+    "xi=1,n=0,m=4,dist=2",
+    "xi=1,n=4,m=-2,dist=2",
+    "xi=1,n=1000000000000,m=4,dist=2",
+)
+
+
+@pytest.fixture(scope="module")
+def contract_paths(tmp_path_factory):
+    """The cloud files and the --out and --grid-out targets that the
+    contract properties draw: kept files, a path in a missing directory
+    and an existing directory."""
+    root = tmp_path_factory.mktemp("contract")
+    (root / "x.json").write_text(CONTRACT_X)
+    for name, text in CONTRACT_Y.items():
+        (root / f"{name}.json").write_text(text)
+    return {"root": root, "file": root / "out.txt", "grid": root / "grid.txt",
+            "missing": root / "missing" / "out.txt", "dir": root}
+
+
+def run_contract(argv, kept):
+    """Run `main` in process and check the exit-code contract: status 0, 2
+    or 3 and no exception (a traceback in a fresh interpreter); status 2
+    with one `error:` line on stderr and nothing on stdout; and every
+    `kept` file as it was after a run that fails.  Returns the status,
+    stdout and stderr."""
+    for path in kept:
+        path.write_text("kept\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert [ln[:6] for ln in err.getvalue().splitlines()].count("error:") == 1
+        assert out.getvalue() == ""
+    if code != 0:
+        assert all(path.read_text() == "kept\n" for path in kept)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
+    source=st.one_of(st.just("gen"), st.sampled_from([*CONTRACT_Y, *BAD_GEN])),
     n=st.integers(1, 6),
     m=st.integers(1, 6),
     dist=st.sampled_from(["2", "0.3"]),
@@ -347,52 +411,130 @@ def reject_constant(name):
     epsilon=st.sampled_from(["1e-6", "0", "nan"]),
     eta=st.sampled_from([None, "1", "0", "nan"]),
     force=st.booleans(),
+    seed=st.sampled_from(["0", "7", "-1"]),
+    out=st.sampled_from([None, "file", "missing", "dir"]),
 )
-@example(n=3, m=3, dist="2", method="aca", circles="auto", central="nan",
-         max_rank=None, epsilon="1e-6", eta=None, force=True)
-@example(n=2, m=5, dist="2", method="aca", circles="off", central="inf",
-         max_rank="50", epsilon="1e-6", eta=None, force=True)
-@example(n=4, m=4, dist="0.3", method="acagp", circles="auto", central=None,
-         max_rank=None, epsilon="nan", eta=None, force=False)
-@example(n=4, m=4, dist="0.3", method="acagp", circles="auto", central=None,
-         max_rank=None, epsilon="1e-6", eta=None, force=False)  # exit 3
-@example(n=4, m=4, dist="0.3", method="aca", circles="on", central="0.5",
-         max_rank="1", epsilon="1e-6", eta="1", force=True)  # exit 0
+@example(source="gen", n=3, m=3, dist="2", method="aca", circles="auto",
+         central="nan", max_rank=None, epsilon="1e-6", eta=None, force=True,
+         seed="0", out=None)
+@example(source="gen", n=2, m=5, dist="2", method="aca", circles="off",
+         central="inf", max_rank="50", epsilon="1e-6", eta=None, force=True,
+         seed="0", out=None)
+@example(source="gen", n=4, m=4, dist="0.3", method="acagp", circles="auto",
+         central=None, max_rank=None, epsilon="nan", eta=None, force=False,
+         seed="0", out=None)
+@example(source="gen", n=4, m=4, dist="0.3", method="acagp", circles="auto",
+         central=None, max_rank=None, epsilon="1e-6", eta=None, force=False,
+         seed="0", out=None)  # exit 3
+@example(source="gen", n=4, m=4, dist="0.3", method="aca", circles="on",
+         central="0.5", max_rank="1", epsilon="1e-6", eta="1", force=True,
+         seed="0", out=None)  # exit 0
+@example(source="gen", n=4, m=4, dist="0.3", method="acagp", circles="auto",
+         central=None, max_rank=None, epsilon="1e-6", eta=None, force=True,
+         seed="7", out="file")  # exit 0, the skeleton in --out
+@example(source="gen", n=4, m=4, dist="0.3", method="acagp", circles="auto",
+         central=None, max_rank=None, epsilon="1e-6", eta=None, force=True,
+         seed="0", out="missing")  # exit 2, no admissibility warning
+@example(source=BAD_GEN[-1], n=1, m=1, dist="2", method="acagp", circles="auto",
+         central=None, max_rank=None, epsilon="1e-6", eta=None, force=True,
+         seed="0", out=None)  # huge n: exit 2 before any allocation
+@example(source="shares-a-point-of-x", n=1, m=1, dist="2", method="aca",
+         circles="auto", central=None, max_rank=None, epsilon="1e-6", eta=None,
+         force=True, seed="0", out="file")
 def test_approximate_exit_code_contract(
-    n, m, dist, method, circles, central, max_rank, epsilon, eta, force
+    contract_paths, source, n, m, dist, method, circles, central, max_rank,
+    epsilon, eta, force, seed, out,
 ):
-    """An invalid option exits 2 with one `error:` line and nothing else,
-    whether or not the clouds pass the admissibility test and whatever
-    --force says.  Valid options exit 3 on clouds that fail the test
-    without --force, and 0 otherwise with strict JSON (no NaN or
-    Infinity)."""
-    gen = f"xi=1,n={n},m={m},dist={dist}"
-    argv = ["approximate", "--gen", gen, "--method", method,
-            "--circles", circles, "--epsilon", epsilon]
+    """An invalid option, --gen string or cloud file exits 2 with one
+    `error:` line and nothing else, whether or not the clouds pass the
+    admissibility test and whatever --force says.  Valid inputs exit 3 on
+    clouds that fail the test without --force, and otherwise 0 with
+    strict JSON (no NaN or Infinity) on stdout or in --out; a shared point
+    of X and Y may instead exit 2 on its singular kernel value."""
+    paths = contract_paths
+    if source == "gen":
+        argv = ["approximate", "--gen", f"xi=1,n={n},m={m},dist={dist}"]
+    elif source in CONTRACT_Y:
+        y_file = paths["root"] / f"{source}.json"
+        argv = ["approximate", "--clouds", str(paths["root"] / "x.json"), str(y_file)]
+    else:
+        argv = ["approximate", "--gen", source]
+    argv += ["--method", method, "--circles", circles, "--epsilon", epsilon,
+             "--seed", seed]
     argv += ["--central", central] if central is not None else []
     argv += ["--max-rank", max_rank] if max_rank is not None else []
     argv += ["--eta", eta] if eta is not None else []
     argv += ["--force"] if force else []
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    argv += ["--out", str(paths[out])] if out is not None else []
+    code, stdout, stderr = run_contract(argv, [paths["file"]])
     invalid = (
         central in ("0", "-1", "2", "nan", "inf")
         or max_rank == "0"
         or epsilon in ("0", "nan")
         or eta in ("0", "nan")
+        or seed == "-1"
+        or out in ("missing", "dir")
+        or source in BAD_GEN
+        or (source in CONTRACT_Y and source not in VALID_Y)
     )
     if invalid:
         assert code == 2
-        assert len(err.getvalue().splitlines()) == 1
-        assert err.getvalue().startswith("error:")
-        assert out.getvalue() == ""
+        assert len(stderr.splitlines()) == 1
         return
-    x, y, _ = place_clouds(1.0, n, m, float(dist), np.random.default_rng(0))
-    admissible = is_admissible(x, y, float(eta or 1))
-    assert code == (0 if admissible or force else 3)
+    if source == "gen":
+        rng = np.random.default_rng(int(seed))
+        x, y, _ = place_clouds(1.0, n, m, float(dist), rng)
+    else:
+        x, y = (cloud_from_json(Path(p).read_text()) for p in argv[2:4])
+    if not (is_admissible(x, y, float(eta or 1)) or force):
+        assert code == 3
+        return
+    if source != "shares-a-point-of-x":
+        assert code == 0
     if code == 0:
-        json.loads(out.getvalue(), parse_constant=reject_constant)
+        document = paths["file"].read_text() if out is not None else stdout
+        json.loads(document, parse_constant=reject_constant)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["benchmark", "sweep-central", "genetic"]),
+    n=st.sampled_from(["0", "4", "65"]),
+    seed=st.sampled_from(["0", "7", "-1"]),
+    out=st.sampled_from([None, "file", "missing", "dir"]),
+    grid_out=st.sampled_from([None, "grid", "missing", "dir"]),
+)
+def test_run_commands_exit_code_contract(contract_paths, command, n, seed, out, grid_out):
+    """benchmark, sweep-central and genetic at toy sizes: a negative seed,
+    an empty cloud, genetic's 65 points a cloud, and an --out or
+    --grid-out in a missing directory or naming a directory each exit 2
+    with one `error:` line, nothing on stdout and the kept files as they
+    were.  Every other draw exits 0 and writes its CSV to --out or
+    stdout."""
+    paths = contract_paths
+    argv = [command, "--n", n, "--m", "4", "--max-rank", "2", "--seed", seed]
+    if command != "genetic":
+        central = "0.5" if command == "benchmark" else "0.3:0.5:0.1"
+        argv += ["--realizations", "2", "--central", central]
+    argv += ["--out", str(paths[out])] if out is not None else []
+    grid = command == "genetic" and grid_out is not None
+    argv += ["--grid-out", str(paths[grid_out])] if grid else []
+    code, stdout, stderr = run_contract(argv, [paths["file"], paths["grid"]])
+    invalid = (
+        seed == "-1"
+        or n == "0"
+        or out in ("missing", "dir")
+        or (command == "genetic" and (n == "65" or grid_out in ("missing", "dir")))
+    )
+    if invalid:
+        assert code == 2
+        assert len(stderr.splitlines()) == 1
+        return
+    assert code == 0
+    csv = paths["file"].read_text() if out is not None else stdout
+    assert csv.startswith("# acakit ")
+    if grid:
+        assert paths["grid"].read_text().startswith("# acakit ")
 
 
 def test_approximate_bad_gen_string(capsys):
@@ -826,6 +968,49 @@ def test_bad_option_places_and_tests_no_cloud(argv, message, monkeypatch, capsys
     calls = record_calls(monkeypatch, acakit.cli, "place_clouds", "is_admissible")
     assert cli_error(capsys, *argv) == f"error: {message}"
     assert calls == []
+
+
+POOLED = ["--threads", "2", "--realizations", "200", "--n", "5", "--m", "5"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["benchmark", "--seed", "-1", *POOLED], "seed"),
+    (["sweep-central", "--seed", "-1", *POOLED], "seed"),
+    (["approximate", "--gen", "xi=1,n=4,m=4,dist=2", "--seed", "-1"], "seed"),
+    (["genetic", "--seed", "-1"], "seed"),
+    (["approximate", "--gen", "xi=1,n=4,m=4,dist=2", "--eta", "0"], "eta"),
+    (["genetic", "--n", "2000", "--m", "2000"], "n=2000"),
+    (["benchmark", "--out", "{missing}", *POOLED], "--out"),
+    (["sweep-central", "--out", "{dir}", *POOLED], "--out"),
+    (["approximate", "--gen", "xi=1,n=2000,m=2000,dist=1.5", "--out", "{missing}"],
+     "--out"),
+    (["approximate", "--gen", "xi=1,n=4,m=4,dist=0.3", "--force", "--out", "{missing}"],
+     "--out"),
+    (["genetic", "--n", "8", "--m", "8", "--out", "{kept}", "--grid-out", "{missing}"],
+     "--grid-out"),
+    (["genetic", "--out", "{dir}"], "--out"),
+], ids=[
+    "benchmark-seed", "sweep-seed", "approximate-seed", "genetic-seed",
+    "approximate-eta", "genetic-size", "benchmark-out-missing", "sweep-out-dir",
+    "approximate-out-missing", "approximate-force-out-missing",
+    "genetic-grid-out-missing", "genetic-out-dir",
+])
+def test_refused_option_does_no_work(argv, name, tmp_path, monkeypatch, capsys):
+    """Each rule refuses its option before any work: no worker pool, no
+    placement, no admissibility test and no dense assembly, so nothing
+    reaches stdout and an existing output file is left as it was."""
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    paths = {"missing": tmp_path / "missing" / "x.csv", "dir": tmp_path, "kept": kept}
+    argv = [arg.format(**paths) for arg in argv]
+    records = [
+        record_calls(monkeypatch, acakit.experiments, "pool_map", "place_clouds"),
+        record_calls(monkeypatch, acakit.cli, "place_clouds", "is_admissible"),
+        record_calls(monkeypatch, acakit.kernel.KernelHandle, "assemble_dense"),
+    ]
+    assert name in cli_error(capsys, *argv)
+    assert records == [[], [], []]
+    assert kept.read_text() == "kept\n"
 
 
 # --- genetic -----------------------------------------------------------------------

@@ -1,4 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -230,15 +229,6 @@ def test_eval_counter_arithmetic(kind):
     assert k.eval_count == 1 + 7 + 9 + 2 + 3
     k.assemble_dense(x, y)
     assert k.eval_count == 1 + 7 + 9 + 2 + 3 + 63
-
-
-def test_eval_counter_thread_safe():
-    x = generate_cloud(1.0, 1.0, 20, np.random.default_rng(2))
-    y = PointCloud(x.points + np.array([5.0, 0.0]))
-    k = KernelHandle()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(lambda i: k.eval_row(x, y, i % 20), range(400)))
-    assert k.eval_count == 400 * 20
 
 
 def test_separate_handles_count_independently():
