@@ -68,7 +68,7 @@ class GpOptions:
     Args:
         epsilon_r: central-subset radius as a fraction of the cloud
             diameter.  None picks max(0.25, 2*sqrt(k_max/min(n, m))),
-            clamped to 1.
+            clamped to 1: `radius(k_max, min(n, m))` resolves it.
         use_circle_heuristics: AUTO enables the rank-2/3 circle searches
             only when both clouds' bounding-rectangle aspect ratios reach
             ASPECT_THRESHOLD.
@@ -78,8 +78,17 @@ class GpOptions:
     use_circle_heuristics: CircleHeuristics = CircleHeuristics.AUTO
 
     def __post_init__(self) -> None:
-        if self.epsilon_r is not None and not (0.0 < self.epsilon_r <= 1.0):
-            raise ValueError("epsilon_r must lie in (0, 1]")
+        if self.epsilon_r is not None:
+            _check_epsilon_r(self.epsilon_r)
+
+    def radius(self, k_max: int, n: int) -> float:
+        return default_epsilon_r(k_max, n) if self.epsilon_r is None else self.epsilon_r
+
+
+def _check_epsilon_r(epsilon_r: float) -> None:
+    """The rule of every central radius fraction (False for NaN)."""
+    if not 0.0 < epsilon_r <= 1.0:
+        raise ValueError("epsilon_r must lie in (0, 1]")
 
 
 def epsilon_r_rule(k_max: int, cloud_size: int) -> float:
@@ -132,10 +141,10 @@ def central_subset(
     at least k_max + CENTRAL_MARGIN points (or the whole cloud).  The
     pivot point itself is always included, so for k_max <= len(cloud) the
     subset holds at least k_max points.  Returns the index array in
-    ascending order together with the final fraction.
+    ascending order together with the final fraction.  `GpOptions`' rule,
+    `_check_epsilon_r`, checks epsilon_r.
     """
-    if epsilon_r <= 0.0:
-        raise ValueError("epsilon_r must be positive")
+    _check_epsilon_r(epsilon_r)
     required = min(len(cloud), k_max + CENTRAL_MARGIN)
     dist = _distances_to(cloud.points, cloud.points[pivot_index])
     eps = epsilon_r
@@ -339,11 +348,7 @@ def _geometric_pivots(builder, opts, rng):
     row = builder.residual_row(i1)
     yield i1, j1, float(row[j1]), row, "first"
 
-    eps_r = (
-        opts.epsilon_r
-        if opts.epsilon_r is not None
-        else default_epsilon_r(k_max, min(len(x), len(y)))
-    )
+    eps_r = opts.radius(k_max, min(len(x), len(y)))
     # Each subset holds >= k_max points, the first pivot among them, and every
     # selector picks from the work arrays: neither runs dry before k_max.
     ic_idx, _ = central_subset(x, i1, k_max, eps_r)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _pool
 from ._version import __version__
-from .acagp import CircleHeuristics, GpOptions, aca_gp, default_epsilon_r
+from .acagp import CircleHeuristics, GpOptions, aca_gp
 from .experiments import (
     RUN_TO_RANK_EPSILON,
     ExperimentConfig,
@@ -29,7 +29,8 @@ from .experiments import (
     run_eps_sweep,
 )
 from .geometry import (
-    _check_eta, _check_placement, cloud_from_json, is_admissible, place_clouds
+    _check_eta, _check_no_shared_point, _check_placement, cloud_from_json,
+    is_admissible, place_clouds,
 )
 from .kernel import DenseCapExceededError, KernelHandle, SingularEvaluationError
 from .lowrank import (
@@ -129,18 +130,15 @@ def _cmd_approximate(args, out: _Output) -> int:
     else:
         x = cloud_from_json(Path(args.clouds[0]).read_text())
         y = cloud_from_json(Path(args.clouds[1]).read_text())
+        _check_no_shared_point(x, y)
         n, m = len(x), len(y)
     k_max = resolve_k_max(args.max_rank, n, m)
     # Checked before the default radius rule reads k_max, so a bad
     # --max-rank is reported as such whatever --method and --central say.
     stop = StoppingParams(epsilon=args.epsilon, k_max=k_max)
-    central = (
-        args.central
-        if args.central is not None
-        else default_epsilon_r(k_max, min(n, m))
-    )
     # Checked for every method: the meta records --central with `aca` too.
-    opts = GpOptions(central, CircleHeuristics(args.circles))
+    opts = GpOptions(args.central, CircleHeuristics(args.circles))
+    central = opts.radius(k_max, min(n, m))
     rng = np.random.default_rng(args.seed)
     if args.gen is not None:
         x, y, _ = place_clouds(xi, n, m, dist, rng)

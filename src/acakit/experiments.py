@@ -18,7 +18,7 @@ from ._pool import _usable_cpus, pool_map
 from ._version import __version__
 from .acagp import GpOptions, aca_gp
 from .geometry import PointCloud, _check_eta, _check_placement, place_clouds
-from .kernel import KernelHandle, _MatrixKernel
+from .kernel import KernelHandle, _MatrixKernel, _check_dense_cap
 from .lowrank import Skeleton, StoppingParams, aca, resolve_k_max
 from .oracle import _curve_from, _curve_head, gain, rank_errors, svd_rank_errors
 
@@ -75,6 +75,7 @@ class ExperimentConfig:
 
     The fields are checked here, before any realization, by each rule's
     owner: `place_clouds`' check for xi, n, m and target_dist,
+    `_check_dense_cap` for n * m (each realization assembles its matrix),
     `StoppingParams` for k_max and `GpOptions` for epsilon_r, both built
     once as `stopping` (to the resolved k_max) and `gp_options`,
     `_check_seed` for base_seed and `is_admissible`'s check for eta.  No
@@ -95,6 +96,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_placement(self.xi, self.n, self.m, self.target_dist)
+        _check_dense_cap(self.n, self.m)
         _check_seed(self.base_seed)
         if self.realizations < 1:
             raise ValueError("need at least one realization")

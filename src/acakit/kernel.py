@@ -29,6 +29,14 @@ class DenseCapExceededError(RuntimeError):
     """Dense assembly would exceed the entry cap."""
 
 
+def _check_dense_cap(n: int, m: int) -> None:
+    """The entry cap of every dense assembly, for callers to apply first."""
+    if n * m > DEFAULT_DENSE_CAP:
+        raise DenseCapExceededError(
+            f"{n}x{m} exceeds cap of {DEFAULT_DENSE_CAP} entries"
+        )
+
+
 class KernelHandle:
     """Kernel kappa(x, y) = 1/|x - y| plus a monotone evaluation counter.
 
@@ -109,11 +117,7 @@ class KernelHandle:
 
     def assemble_dense(self, x: PointCloud, y: PointCloud) -> np.ndarray:
         """Full n x m matrix; refuses more than DEFAULT_DENSE_CAP entries."""
-        n, m = len(x), len(y)
-        if n * m > DEFAULT_DENSE_CAP:
-            raise DenseCapExceededError(
-                f"{n}x{m} exceeds cap of {DEFAULT_DENSE_CAP} entries"
-            )
+        _check_dense_cap(len(x), len(y))
         dist = _squared_distances(x.points, y.points)
         return self._counted(np.sqrt(dist, out=dist))
 

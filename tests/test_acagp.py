@@ -161,10 +161,12 @@ def test_central_subset_sorted_ascending():
     assert np.all(np.diff(idx) > 0)
 
 
-def test_central_subset_rejects_bad_fraction():
+@pytest.mark.parametrize("epsilon_r", [0.0, 1.5, math.nan, math.inf])
+def test_central_subset_rejects_bad_fraction(epsilon_r):
+    """`GpOptions`' rule: a NaN fraction no longer gives an empty subset."""
     x, _, _ = pair(3, n=20, m=10)
-    with pytest.raises(ValueError):
-        central_subset(x, 0, 5, 0.0)
+    with pytest.raises(ValueError, match=r"^epsilon_r must lie in \(0, 1\]$"):
+        central_subset(x, 0, 5, epsilon_r)
 
 
 def _central_subset_reference(cloud, pivot_index, k_max, epsilon_r):

@@ -110,10 +110,8 @@ def test_approximate_cloud_files(tmp_path, capsys):
 
 
 def test_approximate_inadmissible_exit_code(tmp_path, capsys):
-    cloud = generate_cloud(1.0, 1.0, 15, np.random.default_rng(1))
-    f = tmp_path / "c.json"
-    f.write_text(cloud_to_json(cloud))
-    rc = main(["approximate", "--clouds", str(f), str(f)])
+    args, _ = write_overlapping_pair(tmp_path)
+    rc = main(["approximate", *args])
     assert rc == 3
     assert "admissibility" in capsys.readouterr().err
 
@@ -130,18 +128,43 @@ def test_approximate_force_overrides_admissibility(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def write_admissible_shared_pair(tmp_path):
+    """200 points near the origin and 200 about (5, 0), with Y[7] = X[3]:
+    an admissible pair whose singular entry `acagp` at --max-rank 8 never
+    probes, so only a check of the cloud files refuses it."""
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-0.05, 0.05, size=(200, 2))
+    y = rng.uniform((4.5, -0.5), (5.5, 0.5), size=(200, 2))
+    y[7] = x[3]
+    fx, fy = tmp_path / "x200.json", tmp_path / "y200.json"
+    fx.write_text(cloud_to_json(PointCloud(x)))
+    fy.write_text(cloud_to_json(PointCloud(y)))
+    assert is_admissible(PointCloud(x), PointCloud(y))
+    return [str(fx), str(fy)]
+
+
 @pytest.mark.parametrize("method", ["aca", "acagp"])
-def test_approximate_coincident_points_exit_code(tmp_path, method, capsys):
-    """A point of X on a point of Y makes a kernel value singular; the CLI
-    reports it as an input error, not a traceback."""
+def test_approximate_coincident_points_exit_code(
+    tmp_path, method, monkeypatch, capsys
+):
+    """A point of X on a point of Y makes a kernel value singular.  The CLI
+    refuses such cloud files as an input error before the admissibility
+    test, whether or not the pair is admissible and whatever --force says,
+    and not only when a probe meets the shared point."""
     fx = tmp_path / "x.json"
     fy = tmp_path / "y.json"
     fx.write_text(cloud_to_json(PointCloud(np.array([[0.0, 0.0], [0.1, 0.0]]))))
     fy.write_text(cloud_to_json(PointCloud(np.array([[0.0, 0.0], [0.2, 0.1]]))))
-    cli_error(
-        capsys, "approximate", "--force", "--clouds", str(fx), str(fy),
-        "--method", method,
-    )
+    pairs = {"X[0] and Y[0]": [str(fx), str(fy)],
+             "X[3] and Y[7]": write_admissible_shared_pair(tmp_path)}
+    calls = record_calls(monkeypatch, acakit.cli, "is_admissible")
+    for shared, files in pairs.items():
+        for force in ([], ["--force"]):
+            assert cli_error(
+                capsys, "approximate", *force, "--clouds", *files,
+                "--method", method, "--max-rank", "8",
+            ) == f"error: {shared} coincide"
+    assert calls == []
 
 
 def test_approximate_stdout_and_out_file_match(tmp_path, capsys):
@@ -163,10 +186,12 @@ def write_coincident_pair(tmp_path):
 
 
 def write_overlapping_pair(tmp_path):
+    """Overlapping clouds that share no point: inadmissible, exit 3."""
     cloud = generate_cloud(1.0, 1.0, 15, np.random.default_rng(1))
-    f = tmp_path / "c.json"
-    f.write_text(cloud_to_json(cloud))
-    return ["--clouds", str(f), str(f)], 3
+    fx, fy = tmp_path / "x.json", tmp_path / "y.json"
+    fx.write_text(cloud_to_json(cloud))
+    fy.write_text(cloud_to_json(cloud.transformed(shift=(0.3, 0.0))))
+    return ["--clouds", str(fx), str(fy)], 3
 
 
 @pytest.mark.parametrize(
@@ -353,7 +378,7 @@ CONTRACT_Y = {
     "strings": '{"points": [["3", "0"]]}',
     "booleans": '{"points": [[true, false]]}',
 }
-VALID_Y = ("duplicate-points", "shares-a-point-of-x")
+VALID_Y = ("duplicate-points",)
 BAD_GEN = (
     "xi=1,n=4,m=4,dist=2,k=3",
     "xi=1,n=4,m=4,n=5,dist=2",
@@ -447,10 +472,10 @@ def test_approximate_exit_code_contract(
 ):
     """An invalid option, --gen string or cloud file exits 2 with one
     `error:` line and nothing else, whether or not the clouds pass the
-    admissibility test and whatever --force says.  Valid inputs exit 3 on
-    clouds that fail the test without --force, and otherwise 0 with
-    strict JSON (no NaN or Infinity) on stdout or in --out; a shared point
-    of X and Y may instead exit 2 on its singular kernel value."""
+    admissibility test and whatever --force says; cloud files that share
+    a point are invalid.  Valid inputs exit 3 on clouds that fail the test
+    without --force, and otherwise 0 with strict JSON (no NaN or Infinity)
+    on stdout or in --out."""
     paths = contract_paths
     if source == "gen":
         argv = ["approximate", "--gen", f"xi=1,n={n},m={m},dist={dist}"]
@@ -489,11 +514,9 @@ def test_approximate_exit_code_contract(
     if not (is_admissible(x, y, float(eta or 1)) or force):
         assert code == 3
         return
-    if source != "shares-a-point-of-x":
-        assert code == 0
-    if code == 0:
-        document = paths["file"].read_text() if out is not None else stdout
-        json.loads(document, parse_constant=reject_constant)
+    assert code == 0
+    document = paths["file"].read_text() if out is not None else stdout
+    json.loads(document, parse_constant=reject_constant)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -971,6 +994,8 @@ def test_bad_option_places_and_tests_no_cloud(argv, message, monkeypatch, capsys
 
 
 POOLED = ["--threads", "2", "--realizations", "200", "--n", "5", "--m", "5"]
+OVER_CAP = ["--threads", "2", "--realizations", "200", "--n", "2001", "--m", "2000"]
+CAP_ERROR = "2001x2000 exceeds cap of 4000000 entries"
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -989,11 +1014,14 @@ POOLED = ["--threads", "2", "--realizations", "200", "--n", "5", "--m", "5"]
     (["genetic", "--n", "8", "--m", "8", "--out", "{kept}", "--grid-out", "{missing}"],
      "--grid-out"),
     (["genetic", "--out", "{dir}"], "--out"),
+    (["benchmark", *OVER_CAP], CAP_ERROR),
+    (["sweep-central", *OVER_CAP], CAP_ERROR),
 ], ids=[
     "benchmark-seed", "sweep-seed", "approximate-seed", "genetic-seed",
     "approximate-eta", "genetic-size", "benchmark-out-missing", "sweep-out-dir",
     "approximate-out-missing", "approximate-force-out-missing",
-    "genetic-grid-out-missing", "genetic-out-dir",
+    "genetic-grid-out-missing", "genetic-out-dir", "benchmark-dense-cap",
+    "sweep-dense-cap",
 ])
 def test_refused_option_does_no_work(argv, name, tmp_path, monkeypatch, capsys):
     """Each rule refuses its option before any work: no worker pool, no

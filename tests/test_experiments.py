@@ -38,7 +38,7 @@ from acakit.experiments import (
     run_realizations,
 )
 from acakit.geometry import place_clouds
-from acakit.kernel import KernelHandle
+from acakit.kernel import DenseCapExceededError, KernelHandle
 from acakit.lowrank import StoppingParams, aca, resolve_k_max
 from acakit.oracle import gain, rank_errors, svd_rank_errors
 
@@ -98,6 +98,8 @@ def test_config_validation():
         ExperimentConfig(epsilon_r=1.01)
     with pytest.raises(ValueError):
         ExperimentConfig(eta=0.0)
+    with pytest.raises(DenseCapExceededError, match="^2001x2000 exceeds cap of"):
+        ExperimentConfig(n=2001, m=2000)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="target_dist must be finite"):
             ExperimentConfig(target_dist=bad)

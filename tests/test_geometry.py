@@ -1,9 +1,10 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -12,6 +13,7 @@ from acakit.geometry import (
     Circle,
     DegenerateGeometryError,
     PointCloud,
+    _check_no_shared_point,
     _circle_distances,
     _cloud_gap,
     _distinct_count,
@@ -677,6 +679,28 @@ def test_place_clouds_refuses_to_merge_points(n, merging, keeping):
 def test_distinct_count_matches_unique(points, scale):
     pts = scale * np.array(points, dtype=float)
     assert _distinct_count(pts) == len(np.unique(pts, axis=0))
+
+
+GRID_POINTS = st.lists(
+    st.tuples(st.integers(-2, 2), st.sampled_from([-0.0, 0.0, 1.0])),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(xs=GRID_POINTS, ys=GRID_POINTS)
+@example(xs=[(0, 0.0)], ys=[(0, 1.0), (0, -0.0)])  # not adjacent in x alone
+def test_check_no_shared_point_matches_set_intersection(xs, ys):
+    """Refused exactly when a point of X equals one of Y (-0.0 == 0.0),
+    naming one such pair; points repeated within a cloud are allowed."""
+    x, y = PointCloud(np.array(xs, float)), PointCloud(np.array(ys, float))
+    if not set(xs) & set(ys):
+        _check_no_shared_point(x, y)
+        return
+    with pytest.raises(ValueError, match=r"^X\[\d+\] and Y\[\d+\] coincide$") as err:
+        _check_no_shared_point(x, y)
+    i, j = map(int, re.findall(r"\d+", str(err.value)))
+    assert np.array_equal(x.points[i], y.points[j])
 
 
 def test_place_clouds_validation():
