@@ -29,10 +29,11 @@ from .experiments import (
     run_eps_sweep,
 )
 from .geometry import (
-    _check_eta, _check_no_shared_point, _check_placement, cloud_from_json,
-    is_admissible, place_clouds,
+    _check_eta, _check_placement, cloud_from_json, is_admissible, place_clouds,
 )
-from .kernel import DenseCapExceededError, KernelHandle, SingularEvaluationError
+from .kernel import (
+    DenseCapExceededError, KernelHandle, SingularEvaluationError, _check_separated,
+)
 from .lowrank import (
     StoppingParams,
     aca,
@@ -130,7 +131,7 @@ def _cmd_approximate(args, out: _Output) -> int:
     else:
         x = cloud_from_json(Path(args.clouds[0]).read_text())
         y = cloud_from_json(Path(args.clouds[1]).read_text())
-        _check_no_shared_point(x, y)
+        _check_separated(x, y)
         n, m = len(x), len(y)
     k_max = resolve_k_max(args.max_rank, n, m)
     # Checked before the default radius rule reads k_max, so a bad

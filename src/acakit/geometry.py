@@ -570,17 +570,6 @@ def _distinct_count(points: np.ndarray) -> int:
     return 1 + int(np.count_nonzero((s[1:] != s[:-1]).any(axis=1)))
 
 
-def _check_no_shared_point(x: PointCloud, y: PointCloud) -> None:
-    """X and Y share no point (a singular kernel value); O((n + m) log(n + m))."""
-    points = np.concatenate((x.points, y.points))
-    order = np.lexsort((points[:, 1], points[:, 0]))  # equal points: X's first
-    s, in_y = points[order], order >= len(x)
-    shared = (s[1:] == s[:-1]).all(axis=1) & in_y[1:] & ~in_y[:-1]
-    if shared.any():
-        k = int(shared.argmax())
-        raise ValueError(f"X[{order[k]}] and Y[{order[k + 1] - len(x)}] coincide")
-
-
 # --- JSON --------------------------------------------------------------
 
 def cloud_to_json(cloud: PointCloud) -> str:

@@ -29,6 +29,36 @@ class DenseCapExceededError(RuntimeError):
     """Dense assembly would exceed the entry cap."""
 
 
+def _check_separated(x: PointCloud, y: PointCloud) -> None:
+    """Refuse clouds with any pair X[i], Y[j] closer than SINGULAR_DISTANCE,
+    measured as sqrt(dx*dx + dy*dy) as `_distances_to` and `assemble_dense` do.
+
+    Such a pair's projections onto a direction of irrational slope, along
+    which no axis-aligned line or integer lattice lines up, lie within a
+    window of twice the bound plus a rounding margin.  Y's projections are
+    sorted and each point of X meets its window one offset at a time:
+    O((n + m) log(n + m) + P) time for the P X-Y pairs in a window (nm at
+    worst, for clouds on one line across the direction), O(n + m) memory.
+    """
+    c, s = 0.5257311121191336, 0.8506508083520399  # slope: the golden ratio
+    py = y.points[:, 0] * c + y.points[:, 1] * s
+    order = py.argsort(kind="stable")
+    py, px = py[order], x.points[:, 0] * c + x.points[:, 1] * s
+    # A computed projection of (a, b) is within eps (|a| + |b|) of the exact one.
+    scale = max(np.abs(x.points).sum(axis=1).max(), np.abs(y.points).sum(axis=1).max())
+    width = 2.0 * SINGULAR_DISTANCE + 4.0 * np.finfo(float).eps * scale
+    lo, hi = py.searchsorted(px - width), py.searchsorted(px + width, "right")
+    i = np.arange(len(x))
+    while (i := i[hi[i] > lo[i]]).size:
+        j = order[lo[i]]
+        dx, dy = (x.points[i] - y.points[j]).T
+        close = np.sqrt(dx * dx + dy * dy) < SINGULAR_DISTANCE
+        if close.any():
+            i, j = i[close][0], j[close][0]
+            raise ValueError(f"X[{i}] and Y[{j}] are closer than {SINGULAR_DISTANCE:g}")
+        lo[i] += 1
+
+
 def _check_dense_cap(n: int, m: int) -> None:
     """The entry cap of every dense assembly, for callers to apply first."""
     if n * m > DEFAULT_DENSE_CAP:
@@ -64,7 +94,7 @@ class KernelHandle:
         """Kernel values 1/dist, one counted evaluation per distance; a
         singular distance raises before anything is counted."""
         if dist.size and dist.min() < SINGULAR_DISTANCE:
-            raise SingularEvaluationError("points closer than 1e-14")
+            raise SingularEvaluationError(f"points closer than {SINGULAR_DISTANCE:g}")
         self._count += dist.size
         return 1.0 / dist
 
@@ -91,7 +121,7 @@ class KernelHandle:
         d = _as_xy(x) - _as_xy(y)
         dist = _length(d)
         if dist < SINGULAR_DISTANCE:
-            raise SingularEvaluationError("points closer than 1e-14")
+            raise SingularEvaluationError(f"points closer than {SINGULAR_DISTANCE:g}")
         self._count += 1
         return 1.0 / dist
 

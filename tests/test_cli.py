@@ -128,15 +128,17 @@ def test_approximate_force_overrides_admissibility(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
-def write_admissible_shared_pair(tmp_path):
-    """200 points near the origin and 200 about (5, 0), with Y[7] = X[3]:
-    an admissible pair whose singular entry `acagp` at --max-rank 8 never
-    probes, so only a check of the cloud files refuses it."""
+def write_admissible_close_pair(tmp_path, offset):
+    """200 points near the origin and 200 about (5, 0), with
+    Y[7] = X[3] + offset: an admissible pair whose singular entry `acagp`
+    at --max-rank 8 never probes, so only a check of the cloud files
+    refuses it."""
     rng = np.random.default_rng(1)
     x = rng.uniform(-0.05, 0.05, size=(200, 2))
     y = rng.uniform((4.5, -0.5), (5.5, 0.5), size=(200, 2))
-    y[7] = x[3]
-    fx, fy = tmp_path / "x200.json", tmp_path / "y200.json"
+    y[7] = x[3] + offset
+    name = f"200_{offset[0]:g}_{offset[1]:g}.json"
+    fx, fy = tmp_path / f"x{name}", tmp_path / f"y{name}"
     fx.write_text(cloud_to_json(PointCloud(x)))
     fy.write_text(cloud_to_json(PointCloud(y)))
     assert is_admissible(PointCloud(x), PointCloud(y))
@@ -147,23 +149,25 @@ def write_admissible_shared_pair(tmp_path):
 def test_approximate_coincident_points_exit_code(
     tmp_path, method, monkeypatch, capsys
 ):
-    """A point of X on a point of Y makes a kernel value singular.  The CLI
-    refuses such cloud files as an input error before the admissibility
-    test, whether or not the pair is admissible and whatever --force says,
-    and not only when a probe meets the shared point."""
+    """A point of X within 1e-14 of a point of Y makes a kernel value
+    singular.  The CLI refuses such cloud files as an input error before
+    the admissibility test, whether or not the pair is admissible and
+    whatever --force says, and not only when a probe meets the pair."""
     fx = tmp_path / "x.json"
     fy = tmp_path / "y.json"
     fx.write_text(cloud_to_json(PointCloud(np.array([[0.0, 0.0], [0.1, 0.0]]))))
     fy.write_text(cloud_to_json(PointCloud(np.array([[0.0, 0.0], [0.2, 0.1]]))))
-    pairs = {"X[0] and Y[0]": [str(fx), str(fy)],
-             "X[3] and Y[7]": write_admissible_shared_pair(tmp_path)}
+    pairs = [("X[0] and Y[0]", [str(fx), str(fy)])] + [
+        ("X[3] and Y[7]", write_admissible_close_pair(tmp_path, offset))
+        for offset in [(0.0, 0.0), (5e-15, 0.0), (0.0, 9.9e-15)]
+    ]
     calls = record_calls(monkeypatch, acakit.cli, "is_admissible")
-    for shared, files in pairs.items():
+    for close, files in pairs:
         for force in ([], ["--force"]):
             assert cli_error(
                 capsys, "approximate", *force, "--clouds", *files,
                 "--method", method, "--max-rank", "8",
-            ) == f"error: {shared} coincide"
+            ) == f"error: {close} are closer than 1e-14"
     assert calls == []
 
 
@@ -369,6 +373,7 @@ CONTRACT_X = '{"points": [[0, 0], [0.4, 0.1], [0.2, 0.5]]}'
 CONTRACT_Y = {
     "duplicate-points": '{"points": [[3, 0], [3, 0], [3.5, 0.2]]}',
     "shares-a-point-of-x": '{"points": [[0.4, 0.1], [3, 0], [3.2, 0.4]]}',
+    "near-a-point-of-x": '{"points": [[0.4, 0.10000000000000002], [3, 0]]}',
     "empty-object": "{}",
     "no-points": '{"pts": [[3, 0]]}',
     "nan": '{"points": [[NaN, 0]]}',
@@ -466,16 +471,19 @@ def run_contract(argv, kept):
 @example(source="shares-a-point-of-x", n=1, m=1, dist="2", method="aca",
          circles="auto", central=None, max_rank=None, epsilon="1e-6", eta=None,
          force=True, seed="0", out="file")
+@example(source="near-a-point-of-x", n=1, m=1, dist="2", method="acagp",
+         circles="auto", central=None, max_rank=None, epsilon="1e-6", eta=None,
+         force=True, seed="0", out="file")
 def test_approximate_exit_code_contract(
     contract_paths, source, n, m, dist, method, circles, central, max_rank,
     epsilon, eta, force, seed, out,
 ):
     """An invalid option, --gen string or cloud file exits 2 with one
     `error:` line and nothing else, whether or not the clouds pass the
-    admissibility test and whatever --force says; cloud files that share
-    a point are invalid.  Valid inputs exit 3 on clouds that fail the test
-    without --force, and otherwise 0 with strict JSON (no NaN or Infinity)
-    on stdout or in --out."""
+    admissibility test and whatever --force says; cloud files with a pair
+    closer than 1e-14 are invalid.  Valid inputs exit 3 on clouds that
+    fail the test without --force, and otherwise 0 with strict JSON (no
+    NaN or Infinity) on stdout or in --out."""
     paths = contract_paths
     if source == "gen":
         argv = ["approximate", "--gen", f"xi=1,n={n},m={m},dist={dist}"]

@@ -13,7 +13,6 @@ from acakit.geometry import (
     Circle,
     DegenerateGeometryError,
     PointCloud,
-    _check_no_shared_point,
     _circle_distances,
     _cloud_gap,
     _distinct_count,
@@ -28,6 +27,7 @@ from acakit.geometry import (
     is_admissible,
     place_clouds,
 )
+from acakit.kernel import SINGULAR_DISTANCE, _check_separated
 
 SQRT2 = math.sqrt(2.0)
 
@@ -681,26 +681,59 @@ def test_distinct_count_matches_unique(points, scale):
     assert _distinct_count(pts) == len(np.unique(pts, axis=0))
 
 
-GRID_POINTS = st.lists(
-    st.tuples(st.integers(-2, 2), st.sampled_from([-0.0, 0.0, 1.0])),
-    min_size=1, max_size=12,
+COORDINATES = st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0))
+CLOUD_POINTS = st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=12)
+# Points of Y placed 0.5e-14 to 2e-14 from a point of X: (X index, distance,
+# angle).
+PLANTED = st.lists(
+    st.tuples(st.integers(0, 11), st.floats(0.5e-14, 2e-14), st.floats(0.0, 6.3)),
+    max_size=2,
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(xs=GRID_POINTS, ys=GRID_POINTS)
-@example(xs=[(0, 0.0)], ys=[(0, 1.0), (0, -0.0)])  # not adjacent in x alone
-def test_check_no_shared_point_matches_set_intersection(xs, ys):
-    """Refused exactly when a point of X equals one of Y (-0.0 == 0.0),
-    naming one such pair; points repeated within a cloud are allowed."""
-    x, y = PointCloud(np.array(xs, float)), PointCloud(np.array(ys, float))
-    if not set(xs) & set(ys):
-        _check_no_shared_point(x, y)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    xs=CLOUD_POINTS, ys=CLOUD_POINTS, scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    planted=PLANTED,
+)
+@example(xs=[(0.0, 0.0)], ys=[(0.0, 1.0), (0.0, -0.0)], scale=1.0, planted=[])
+@example(xs=[(0.0, 0.0)], ys=[(2.0, 2.0)], scale=1.0, planted=[(0, 1e-14, 0.0)])
+# An ulp apart in y, 1.1e-13 apart in their rounded projections.
+@example(xs=[(1763.0, 19.0)], ys=[(1763.0, 19.000000000000004)], scale=1.0, planted=[])
+def test_check_separated_matches_dense_scan(xs, ys, scale, planted):
+    """Refused exactly when some X-Y pair is closer than 1e-14 as a dense
+    scan measures it (-0.0 == 0.0), naming one such pair; points repeated
+    within a cloud are allowed.  Lattice and axis-aligned points come from
+    the integer coordinates."""
+    x = scale * np.array(xs, float)
+    y = [scale * np.array(p, float) for p in ys]
+    for k, r, angle in planted:
+        y.append(x[k % len(x)] + r * np.array([math.cos(angle), math.sin(angle)]))
+    x, y = PointCloud(x), PointCloud(np.array(y))
+    if np.sqrt(_squared_distances(x.points, y.points)).min() >= SINGULAR_DISTANCE:
+        _check_separated(x, y)
         return
-    with pytest.raises(ValueError, match=r"^X\[\d+\] and Y\[\d+\] coincide$") as err:
-        _check_no_shared_point(x, y)
-    i, j = map(int, re.findall(r"\d+", str(err.value)))
-    assert np.array_equal(x.points[i], y.points[j])
+    message = r"^X\[\d+\] and Y\[\d+\] are closer than 1e-14$"
+    with pytest.raises(ValueError, match=message) as err:
+        _check_separated(x, y)
+    i, j = map(int, re.findall(r"\d+(?=\])", str(err.value)))
+    assert np.sqrt(_squared_distances(x.points[[i]], y.points[[j]])) < SINGULAR_DISTANCE
+
+
+def test_check_separated_large_clouds():
+    """n = m = 10^4 on the common line x = 0, then on two interleaved
+    integer lattices, each first without and then with one pair 9.2e-15
+    apart.  Both sort to O(n) window pairs, where a window on the x axis
+    would hold all 10^8 pairs of the line."""
+    k = np.arange(10_000.0)
+    grid = np.indices((142, 142)).reshape(2, -1).T.astype(float)
+    odd = grid.sum(axis=1) % 2 == 1
+    line = (np.c_[0.0 * k, k], np.c_[0.0 * k, k + 0.5])
+    for x, y in (line, (grid[~odd][:10_000], grid[odd][:10_000])):
+        _check_separated(PointCloud(x), PointCloud(y))
+        y[1234] = x[777] + (6e-15, -7e-15)
+        with pytest.raises(ValueError, match=r"^X\[777\] and Y\[1234\] are closer"):
+            _check_separated(PointCloud(x), PointCloud(y))
 
 
 def test_place_clouds_validation():

@@ -243,10 +243,25 @@ def test_aca_pivot_trace_selectors():
 
 
 def test_aca_pivots_are_distinct():
+    """Also when a used column holds the largest residual of the next row.
+    Row 0 of `a` is 5e7 times row 1, so after the first cross at (1, 0),
+    the seed's first draw, its residual is 0 outside column 0, and rounding
+    leaves 3e-8 in column 0, far above the floor of 2e-12.  The used-column
+    mask alone keeps that entry from being the second pivot: row 0 is
+    skipped and the run ends at rank 1."""
     x, y, _ = pair(9)
     skel, _ = run_to_rank(x, y, 8, seed=9)
     assert len(set(skel.pivot_rows)) == skel.rank
     assert len(set(skel.pivot_cols)) == skel.rank
+    a = np.array([[1e8, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    x, y = PointCloud(np.zeros((2, 2))), PointCloud(np.ones((3, 2)))
+    skel = aca(
+        x, y, _MatrixKernel(x, y, a), StoppingParams(epsilon=1e-30, k_max=2),
+        np.random.default_rng(0),
+    )
+    assert skel.rank == 1 and skel.pivot_cols == (0,)
+    residual = a[0, 0] - (a[0, 0] / math.sqrt(2.0)) * (2.0 / math.sqrt(2.0))
+    assert abs(residual) > 1e-12 * 2.0
 
 
 def test_aca_residual_vanishes_on_pivot_rows_and_cols():
